@@ -9,12 +9,14 @@ involved (``l3_miss``); the memory controller owns everything below.  Dirty
 L3 victims surface as ``dram_writebacks`` so the controller can model write
 traffic and compressed-page bookkeeping.
 
-Storage is columnar (``sa_cache.SetAssociativeCache``): the fill helpers
-and fast twins below write the flat tag/flag columns and per-set recency
-order lists directly -- no :class:`CacheLine` objects move between
-levels.  Any change to the fill semantics must be mirrored in
-``ReferenceSetAssociativeCache`` (the readable spec) and stays pinned by
-the differential property tests and the fast-vs-slow goldens.
+Storage is columnar (``sa_cache.SetAssociativeCache``): the one access
+path (``access_fast``/``access_fast_miss``) and its fill helpers write
+the flat tag/flag columns and per-set recency order lists directly -- no
+:class:`CacheLine` objects move between levels; ``access`` reports the
+same transitions as an :class:`AccessResult`.  Any change to the fill
+semantics must be mirrored in ``ReferenceSetAssociativeCache`` (the
+readable spec) and stays pinned by the differential property tests and
+the frozen goldens.
 """
 
 from __future__ import annotations
@@ -60,6 +62,10 @@ class AccessResult:
         return self.hit_level != "memory"
 
 
+#: ``access_fast`` hit levels as ``AccessResult.hit_level`` names.
+_HIT_LEVELS = ("l1", "l2", "l3", "memory")
+
+
 class CacheHierarchy:
     """L1 + inclusive L2 + exclusive L3 with prefetch.
 
@@ -81,6 +87,11 @@ class CacheHierarchy:
         #: ``config.enable_prefetch`` is fixed at construction; the fast
         #: path reads this attribute to skip the dataclass field load.
         self._prefetch_on = config.enable_prefetch
+        #: Cycles to reach each hit level (L1, L2, L3, memory).
+        l2_cycles = config.l1_latency + config.l2_latency
+        self._latency_cycles = (config.l1_latency, l2_cycles,
+                                l2_cycles + config.l3_latency,
+                                l2_cycles + config.l3_latency)
 
     # ------------------------------------------------------------------
     # Main access path
@@ -88,65 +99,30 @@ class CacheHierarchy:
 
     def access(self, address: int, is_write: bool = False,
                is_ptb: bool = False) -> AccessResult:
-        """Serve one demand access; returns where it hit and at what cost."""
+        """Serve one demand access; returns where it hit and at what cost.
+
+        The observed view of :meth:`access_fast`: same cache, prefetcher
+        and stat transitions, reported as an :class:`AccessResult`.
+        """
         block = address >> 6
-        config = self.config
         writebacks: List[int] = []
-
-        if config.enable_prefetch:
-            self._next_line.train_demand(block)
-
-        line = self.l1.lookup(block, is_write)
-        if line is not None:
-            return AccessResult("l1", config.l1_latency, l3_miss=False,
-                                served_compressed=line.compressed)
-
-        latency = config.l1_latency + config.l2_latency
-        if config.enable_prefetch:
-            self._issue_prefetches(self._prefetch_candidates_l1(block), writebacks)
-
-        line = self.l2.lookup(block)
-        if line is not None:
-            self._fill_l1(block, is_write, line.compressed, line.is_ptb, writebacks)
-            return AccessResult("l2", latency, l3_miss=False,
-                                dram_writebacks=writebacks,
-                                served_compressed=line.compressed)
-
-        latency += config.l3_latency
-        if config.enable_prefetch:
-            self._issue_prefetches(self._stride_l2.on_access(block), writebacks)
-
-        line = self.l3.lookup(block)
-        if line is not None:
-            # Exclusive L3: the block moves up to L2/L1.
-            moved = self.l3.invalidate(block)
-            self._fill_l2(block, moved.dirty if moved else False,
-                          moved.compressed if moved else False,
-                          moved.is_ptb if moved else is_ptb, writebacks)
-            self._fill_l1(block, is_write,
-                          moved.compressed if moved else False,
-                          moved.is_ptb if moved else is_ptb, writebacks)
-            return AccessResult("l3", latency, l3_miss=False,
-                                dram_writebacks=writebacks,
-                                served_compressed=moved.compressed if moved else False)
-
-        # Memory: caller adds DRAM latency; we complete the fills now.
-        self._fill_l2(block, dirty=False, compressed=False, is_ptb=is_ptb,
-                      writebacks=writebacks)
-        self._fill_l1(block, is_write, compressed=False, is_ptb=is_ptb,
-                      writebacks=writebacks)
-        return AccessResult("memory", latency, l3_miss=True,
-                            dram_writebacks=writebacks)
+        level = self.access_fast(block, is_write, is_ptb, writebacks)
+        # Every outcome leaves the block in L1 carrying the compressed
+        # bit of the copy that served it.
+        l1 = self.l1
+        return AccessResult(_HIT_LEVELS[level], self._latency_cycles[level],
+                            level == 3, writebacks,
+                            bool(l1._compressed[l1._index[block]]))
 
     def access_fast(self, block: int, is_write: bool, is_ptb: bool,
                     writebacks: List[int]) -> int:
-        """Zero-observer variant of :meth:`access`.
+        """Serve one demand access to ``block``; returns the hit level
+        (0=L1, 1=L2, 2=L3, 3=memory).
 
-        Returns the hit level (0=L1, 1=L2, 2=L3, 3=memory) instead of an
-        :class:`AccessResult`; dirty L3 victims are appended to the
-        caller-owned ``writebacks`` list.  Every cache, prefetcher, and
-        stat state transition must stay identical to :meth:`access` (the
-        fast-path contract, ``docs/performance.md``).
+        Dirty L3 victims are appended to the caller-owned ``writebacks``
+        list.  The L1 probe trains the next-line prefetcher (a demand
+        hit on an outstanding prefetch credits it); L1 misses continue
+        in :meth:`access_fast_miss`.
         """
         if self._prefetch_on:
             outstanding = self._next_line._outstanding
@@ -176,11 +152,9 @@ class CacheHierarchy:
         next-line training + L1 probe and only pay a call on a miss.
         """
         if self._prefetch_on:
-            # _prefetch_candidates_l1 issued in candidate order; issuing
-            # next-line candidates before training the L1 stride table is
-            # equivalent because prefetchers never read cache contents.
             # NextLinePrefetcher.on_miss + the single-block issue are
-            # inlined (retire may flip ``_enabled``, so it runs first).
+            # inlined (retire may flip ``_enabled``, so it runs first);
+            # the L1 stride prefetcher trains after it.
             nl = self._next_line
             outstanding = nl._outstanding
             if len(outstanding) > nl.window:
@@ -409,11 +383,6 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # Prefetch
     # ------------------------------------------------------------------
-
-    def _prefetch_candidates_l1(self, block: int) -> List[int]:
-        candidates = self._next_line.on_miss(block)
-        candidates += self._stride_l1.on_access(block)
-        return candidates
 
     def _issue_prefetches(self, blocks: List[int], writebacks: List[int]) -> None:
         """Install prefetched blocks into L2 (no latency is charged)."""

@@ -5,9 +5,8 @@
   real codec measurements behind every simulated page.
 - :mod:`repro.core.base` -- the memory-compression-controller interface
   and shared DRAM-layout bookkeeping.
-- :mod:`repro.core.pipeline` -- the declarative latency-composition
-  algebra (Stage / serial / parallel / cond) every controller's miss
-  path is built from, and the per-stage timeline it records.
+- :mod:`repro.core.pipeline` -- the stage vocabulary of the miss paths,
+  the per-miss service timeline, and per-path stage accounting.
 - :mod:`repro.core.uncompressed` -- no-compression reference (Figure 18).
 - :mod:`repro.core.compresso` -- Compresso [6], the state-of-the-art
   block-level hardware memory compression TMCC compares against.
@@ -22,17 +21,7 @@
 
 from repro.core.config import SystemConfig
 from repro.core.compmodel import PageCompressionModel, PageRecord
-from repro.core.pipeline import (
-    ServiceTimeline,
-    Stage,
-    StageAccounting,
-    StageSpan,
-    cond,
-    defer,
-    evaluate,
-    parallel,
-    serial,
-)
+from repro.core.pipeline import ServiceTimeline, StageAccounting, StageSpan
 from repro.core.base import (
     CONTROLLER_REGISTRY,
     MemoryController,
@@ -55,14 +44,8 @@ __all__ = [
     "PageCompressionModel",
     "PageRecord",
     "ServiceTimeline",
-    "Stage",
     "StageAccounting",
     "StageSpan",
-    "cond",
-    "defer",
-    "evaluate",
-    "parallel",
-    "serial",
     "MemoryController",
     "MissResult",
     "CONTROLLER_REGISTRY",

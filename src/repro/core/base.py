@@ -19,10 +19,7 @@ from repro.core.config import SystemConfig
 from repro.core.pipeline import (
     STAGE_DATA_FETCH,
     ServiceTimeline,
-    Stage,
     StageAccounting,
-    StageTotals,
-    evaluate,
 )
 from repro.core.resilience import ResilienceState
 from repro.dram.system import DRAMSystem
@@ -38,11 +35,9 @@ PATH_ML2 = "ml2"
 ACCESS_PATHS = (PATH_CTE_HIT, PATH_PARALLEL_OK, PATH_PARALLEL_MISMATCH,
                 PATH_SERIAL_NO_CTE, PATH_ML2)
 
-#: Pre-interned stat keys for the zero-observer fast path: the hot loop
-#: must not rebuild ``path_<p>`` / ``<stage>.ns`` strings per miss.
+#: Pre-interned stat keys: the miss service must not rebuild
+#: ``path_<p>`` strings per miss.
 _PATH_COUNTER_KEY = {path: f"path_{path}" for path in ACCESS_PATHS}
-_STAGE_KEYS: Dict[str, tuple] = {}
-_DATA_FETCH_NS_KEY = f"{STAGE_DATA_FETCH}.ns"
 
 #: The memory-controller registry.  Controller classes self-register with
 #: ``@CONTROLLER_REGISTRY.register`` (the key is the class's ``name``);
@@ -74,7 +69,7 @@ class MissResult:
     latency_ns: float
     path: str
     in_ml2: bool = False
-    #: The evaluated access pipeline: start/end of every stage (CTE
+    #: The served miss's timeline: start/end of every stage (CTE
     #: fetch, data fetch, decompress, ...).  ``latency_ns`` equals
     #: ``timeline.total_ns``; the field carries the decomposition for
     #: Figure 8/18-style consumers.
@@ -93,11 +88,12 @@ class MemoryController:
         self.seed = seed
         self.stats = StatGroup(self.name)
         #: Per-stage latency statistics (``controller.stage.<name>.ns``
-        #: histograms), fed by every evaluated access pipeline.
+        #: histograms), fed by every served miss.
         self.stage_stats = StatGroup(f"{self.name}.stage")
         #: Per-path aggregation of stage timings for ``--breakdown`` and
-        #: the ``controller.breakdown.*`` metric namespace.
-        self.stage_accounting = StageAccounting()
+        #: the ``controller.breakdown.*`` metric namespace; it also feeds
+        #: the stage histograms.
+        self.stage_accounting = StageAccounting(self.stage_stats)
         #: Instrumentation handle; harmless no-op bus until a context
         #: attaches its own via :meth:`attach_instrumentation`.
         self._probe = None
@@ -108,16 +104,12 @@ class MemoryController:
         #: ppn -> nominal DRAM page for address formation.
         self._dram_page: Dict[int, int] = {}
         self._cte_table_base = 0  # set at initialize()
-        #: Fast-path stat sinks, bound lazily on first use so stat keys
-        #: are still created in the same order as the slow path (lazy
-        #: creation is observable in ``as_dict``).  Counters/histograms
-        #: reset in place (identity survives ``_reset_stats``), so the
-        #: bound objects and sample lists stay valid across the warm-up
-        #: boundary.
-        self._fast_path_counters: Dict[str, object] = {}
-        self._fast_hist_samples: Dict[str, list] = {}
-        self._fast_l3_counter = None
-        self._fast_miss_samples: Optional[list] = None
+        #: Stat sinks of the miss service.  ``l3_misses`` exists from
+        #: the start (every miss counts it first); the others are bound
+        #: on first use (see _finish).
+        self._l3_counter = self.stats.counter("l3_misses")
+        self._counters: Dict[str, object] = {}
+        self._miss_samples: Optional[list] = None
 
     def attach_instrumentation(self, probe) -> None:
         """Adopt a context-provided :class:`~repro.sim.instrument.Probe`.
@@ -173,61 +165,81 @@ class MemoryController:
     def _cte_address(self, ppn: int, cte_size: int) -> int:
         return self._cte_table_base + ppn * cte_size
 
-    def _dram_read_ns(self, address: int, now_ns: float,
-                      include_noc: bool = True) -> float:
-        """One 64 B DRAM read; CTE reads skip the LLC<->MC NoC leg.
-
-        With resilience enabled and a transient DRAM error pending
-        (:mod:`repro.sim.faults`), the read is re-issued with bounded
-        retries -- each retry is a real DRAM access whose latency the
-        miss pays -- instead of silently returning corrupt data.
-        """
-        result = self.dram.read(address, now_ns)
-        latency = result.latency_ns
-        resilience = self.resilience
-        if resilience.enabled and resilience.pending_dram_errors:
-            retries = 0
-            while (resilience.pending_dram_errors
-                   and retries < resilience.max_dram_retries):
-                resilience.pending_dram_errors -= 1
-                retries += 1
-                retry = self.dram.read(address, now_ns + latency)
-                latency += retry.latency_ns
-            resilience.count("dram_read_errors", retries)
-            resilience.count("dram_retries", retries)
-            if resilience.pending_dram_errors:
-                # Retry budget exhausted: model the ECC-correction
-                # fallback instead of looping forever.
-                resilience.pending_dram_errors = 0
-                resilience.count("dram_retry_exhausted")
+    def _dram_read(self, address: int, now_ns: float,
+                   include_noc: bool = True) -> float:
+        """One 64 B DRAM read; CTE reads skip the LLC<->MC NoC leg."""
+        latency = self.dram.read_ns(address, now_ns)
+        if self.resilience.pending_dram_errors:
+            latency = self._retry_dram_read(address, now_ns, latency)
         if include_noc:
             return latency
         return latency - self.dram.config.timing.noc_ns
 
+    def _retry_dram_read(self, address: int, now_ns: float,
+                         latency: float) -> float:
+        """Re-issue a read that hit an injected transient DRAM error.
+
+        With resilience enabled (:mod:`repro.sim.faults`), the read is
+        re-issued with bounded retries -- each retry is a real DRAM
+        access whose latency the miss pays -- instead of silently
+        returning corrupt data.
+        """
+        resilience = self.resilience
+        if not resilience.enabled:
+            return latency
+        retries = 0
+        while (resilience.pending_dram_errors
+               and retries < resilience.max_dram_retries):
+            resilience.pending_dram_errors -= 1
+            retries += 1
+            latency += self.dram.read_ns(address, now_ns + latency)
+        resilience.count("dram_read_errors", retries)
+        resilience.count("dram_retries", retries)
+        if resilience.pending_dram_errors:
+            # Retry budget exhausted: model the ECC-correction
+            # fallback instead of looping forever.
+            resilience.pending_dram_errors = 0
+            resilience.count("dram_retry_exhausted")
+        return latency
+
     # ------------------------------------------------------------------
     # Runtime interface
     # ------------------------------------------------------------------
+    #
+    # ``serve_l3_miss_fast`` is the one definition of a controller's miss
+    # service: DRAM traffic, stat mutations, stage accounting, and (with
+    # an event subscriber) the ``access_path``/``stage`` events.  It
+    # returns the span tuples of ``repro.core.pipeline`` instead of
+    # objects, so the zero-observer replay loop calls it directly;
+    # ``serve_l3_miss`` is the observed view of the same call.
 
     def serve_l3_miss(self, ppn: int, block_index: int, now_ns: float,
                       is_write: bool = False) -> MissResult:
-        """Serve an LLC miss for block ``block_index`` of page ``ppn``."""
-        with self._timed("serve_miss"):
-            timeline = evaluate(self._data_fetch_stage(ppn, block_index),
-                                now_ns)
-            self.stats.counter("l3_misses").increment()
-            self.stats.histogram("miss_latency_ns").record(timeline.total_ns)
-            self._record_stages(timeline, PATH_CTE_HIT)
-            return MissResult(timeline.total_ns, PATH_CTE_HIT,
-                              timeline=timeline)
+        """Serve an LLC miss for block ``block_index`` of page ``ppn``.
 
-    def _data_fetch_stage(self, ppn: int, block_index: int) -> Stage:
-        """The plain one-DRAM-read data stage every controller shares."""
-        return Stage(
-            STAGE_DATA_FETCH,
-            lambda start_ns: self._dram_read_ns(
-                self._data_address(ppn, block_index), start_ns
-            ),
-        )
+        Same service as :meth:`serve_l3_miss_fast`, timed under the
+        ``serve_miss`` profiler section and returned with its timeline.
+        """
+        with self._timed("serve_miss"):
+            latency, path, spans = self.serve_l3_miss_fast(
+                ppn, block_index, now_ns, is_write)
+        return MissResult(latency, path, in_ml2=path == PATH_ML2,
+                          timeline=ServiceTimeline.from_spans(
+                              now_ns, latency, spans))
+
+    def serve_l3_miss_fast(self, ppn: int, block_index: int, now_ns: float,
+                           is_write: bool = False):
+        """Serve an LLC miss; returns ``(latency_ns, path, spans)``.
+
+        The base controller reads the block in one DRAM access and, having
+        no translation, counts no access path.
+        """
+        latency = self._dram_read(self._data_address(ppn, block_index),
+                                  now_ns)
+        self._l3_counter.value += 1
+        spans = ((STAGE_DATA_FETCH, now_ns, latency, True, False, 0.0),)
+        self._finish(PATH_CTE_HIT, spans, latency, ppn, False)
+        return latency, PATH_CTE_HIT, spans
 
     def serve_writeback(self, ppn: int, block_index: int, now_ns: float) -> None:
         """Absorb a dirty LLC writeback (posted; no read-path latency)."""
@@ -272,178 +284,58 @@ class MemoryController:
             return {p: 0.0 for p in ACCESS_PATHS}
         return {p: c / total for p, c in counts.items()}
 
-    def _record_path(self, path: str, now_ns: float = 0.0,
-                     latency_ns: float = 0.0, ppn: int = -1) -> None:
-        self.stats.counter(f"path_{path}").increment()
-        if self._probe is not None:
-            self._probe.emit("access_path", now_ns, path=path,
-                             latency_ns=latency_ns, ppn=ppn)
-
-    def _record_stages(self, timeline: ServiceTimeline, path: str,
-                       ppn: int = -1) -> None:
-        """Feed one evaluated pipeline into the stage-metric surface.
-
-        Every span lands in ``controller.stage.<name>.ns``; wasted
-        speculative work and parallel slack get their own histograms so
-        the Figure 8 timelines can separate paid, discarded, and hidden
-        time.  With a trace subscriber attached, each span also becomes a
-        ``controller.stage`` event.
-        """
-        self.stage_accounting.record(path, timeline)
-        stats = self.stage_stats
-        for span in timeline.spans:
-            stats.histogram(f"{span.name}.ns").record(span.latency_ns)
-            if span.wasted:
-                stats.histogram(f"{span.name}.wasted_ns").record(span.latency_ns)
-            elif span.slack_ns:
-                stats.histogram(f"{span.name}.slack_ns").record(span.slack_ns)
-        probe = self._probe
-        if probe is not None and probe.bus.active:
-            for span in timeline.spans:
-                probe.emit("stage", span.start_ns, stage=span.name,
-                           path=path, latency_ns=span.latency_ns,
-                           end_ns=span.end_ns, critical=span.critical,
-                           wasted=span.wasted, ppn=ppn)
-
-    def _finish_miss(self, timeline: ServiceTimeline, path: str,
-                     in_ml2: bool, now_ns: float, ppn: int) -> MissResult:
-        """Shared epilogue: path counter, stage metrics, latency histogram."""
-        self._record_path(path, now_ns, timeline.total_ns, ppn)
-        self._record_stages(timeline, path, ppn)
-        self.stats.histogram("miss_latency_ns").record(timeline.total_ns)
-        return MissResult(timeline.total_ns, path, in_ml2=in_ml2,
-                          timeline=timeline)
-
     # ------------------------------------------------------------------
-    # Zero-observer fast path (docs/performance.md)
+    # Miss bookkeeping shared by every controller's service
     # ------------------------------------------------------------------
     #
-    # ``serve_l3_miss_fast`` is the no-observer twin of ``serve_l3_miss``:
-    # same DRAM traffic, same stat mutations, same RNG draws, but no
-    # Stage/ServiceTimeline/MissResult object graph.  The ``--emit-json``
-    # byte-equality golden pins the contract; any behavioural divergence
-    # between the two is a bug.  Only valid when no tracer/profiler/
-    # timeseries/fault-injector is attached and resilience is disabled
-    # (``Simulator.fast_path_eligible`` gates this).
+    # Stat sinks are bound lazily on first use, so stat keys are created
+    # in the order the service first touches them (creation order is
+    # observable in ``as_dict``).  Path counters are bound under their
+    # path label, other counters under their stat name.  Counters/histograms reset in place
+    # (identity survives ``_reset_stats``), so the bound objects and
+    # sample lists stay valid across the warm-up boundary.
 
-    def _dram_read_fast(self, address: int, now_ns: float,
-                        include_noc: bool = True) -> float:
-        """:meth:`_dram_read_ns` without the ``ReadResult`` allocation.
-
-        Assumes resilience is disabled (the eligibility gate guarantees
-        it), so the retry loop is dead code here.
-        """
-        latency = self.dram.read_ns(address, now_ns)
-        if include_noc:
-            return latency
-        return latency - self.dram.config.timing.noc_ns
-
-    def serve_l3_miss_fast(self, ppn: int, block_index: int, now_ns: float,
-                           is_write: bool = False):
-        """Serve an LLC miss on the fast path; returns ``(latency_ns, path)``.
-
-        Stat sinks are bound lazily and cached; mutation *order* mirrors
-        :meth:`serve_l3_miss` exactly (stat keys are created in the same
-        sequence, which the ``--emit-json`` byte-equality golden sees).
-        """
-        latency = self._dram_read_fast(self._data_address(ppn, block_index),
-                                       now_ns)
-        counter = self._fast_l3_counter
+    def _count(self, name: str) -> None:
+        """Increment the controller counter ``name`` via a bound sink."""
+        counters = self._counters
+        counter = counters.get(name)
         if counter is None:
-            counter = self._fast_l3_counter = self.stats.counter("l3_misses")
+            counter = counters[name] = self.stats.counter(name)
         counter.value += 1
-        samples = self._fast_miss_samples
-        if samples is None:
-            samples = self._fast_miss_samples = self.stats.histogram(
-                "miss_latency_ns").samples
-        samples.append(latency)
-        # record_span(PATH_CTE_HIT, STAGE_DATA_FETCH, latency, True,
-        # False, 0.0) + record_total(PATH_CTE_HIT, latency), inlined.
-        accounting = self.stage_accounting
-        paths = accounting._paths
-        stages = paths.get(PATH_CTE_HIT)
-        if stages is None:
-            stages = paths[PATH_CTE_HIT] = {}
-        totals = stages.get(STAGE_DATA_FETCH)
-        if totals is None:
-            totals = stages[STAGE_DATA_FETCH] = StageTotals()
-        totals.count += 1
-        totals.total_ns += latency
-        totals.critical_ns += latency
-        path_total = accounting._path_total_ns
-        path_total[PATH_CTE_HIT] = path_total.get(PATH_CTE_HIT, 0.0) + latency
-        path_count = accounting._path_count
-        path_count[PATH_CTE_HIT] = path_count.get(PATH_CTE_HIT, 0) + 1
-        hist_samples = self._fast_hist_samples
-        data_samples = hist_samples.get(_DATA_FETCH_NS_KEY)
-        if data_samples is None:
-            data_samples = hist_samples[_DATA_FETCH_NS_KEY] = (
-                self.stage_stats.histogram(_DATA_FETCH_NS_KEY).samples)
-        data_samples.append(latency)
-        return latency, PATH_CTE_HIT
 
-    def _finish_fast(self, path: str, spans, total_ns: float) -> None:
-        """Fast-path epilogue mirroring :meth:`_finish_miss`.
+    def _finish(self, path: str, spans, total_ns: float, ppn: int,
+                count_path: bool = True) -> None:
+        """Record one served miss: its path counter (``count_path``),
+        stage accounting and histograms, its latency, and -- with an
+        event subscriber -- its ``access_path`` and ``stage`` events.
 
-        ``spans`` is a sequence of ``(name, latency_ns, critical, wasted,
-        slack_ns)`` tuples in the order the slow path would record them.
-        ``StageAccounting.record_span``/``record_total`` and the stage
-        histogram lookups are inlined against cached sinks: this runs
-        once per LLC miss and the get-or-create layers dominated it.
-        ``_paths`` & friends are cleared in place by the accounting's
-        ``reset()``, so holding the dicts themselves is safe.
+        ``spans`` are the miss's span tuples in issue order.
         """
-        counters = self._fast_path_counters
-        counter = counters.get(path)
-        if counter is None:
-            counter = counters[path] = self.stats.counter(
-                _PATH_COUNTER_KEY[path])
-        counter.value += 1
-        accounting = self.stage_accounting
-        paths_dict = accounting._paths
-        stages = paths_dict.get(path)
-        if stages is None:
-            stages = paths_dict[path] = {}
-        hist_samples = self._fast_hist_samples
-        histogram = self.stage_stats.histogram
-        for name, latency_ns, critical, wasted, slack_ns in spans:
-            totals = stages.get(name)
-            if totals is None:
-                totals = stages[name] = StageTotals()
-            totals.count += 1
-            totals.total_ns += latency_ns
-            if critical:
-                totals.critical_ns += latency_ns
-            if wasted:
-                totals.wasted_ns += latency_ns
-            totals.slack_ns += slack_ns
-            keys = _STAGE_KEYS.get(name)
-            if keys is None:
-                keys = _STAGE_KEYS[name] = (
-                    f"{name}.ns", f"{name}.wasted_ns", f"{name}.slack_ns")
-            key = keys[0]
-            samples = hist_samples.get(key)
-            if samples is None:
-                samples = hist_samples[key] = histogram(key).samples
-            samples.append(latency_ns)
-            if wasted:
-                key = keys[1]
-                samples = hist_samples.get(key)
-                if samples is None:
-                    samples = hist_samples[key] = histogram(key).samples
-                samples.append(latency_ns)
-            elif slack_ns:
-                key = keys[2]
-                samples = hist_samples.get(key)
-                if samples is None:
-                    samples = hist_samples[key] = histogram(key).samples
-                samples.append(slack_ns)
-        path_total = accounting._path_total_ns
-        path_total[path] = path_total.get(path, 0.0) + total_ns
-        path_count = accounting._path_count
-        path_count[path] = path_count.get(path, 0) + 1
-        samples = self._fast_miss_samples
+        if count_path:
+            counters = self._counters
+            counter = counters.get(path)
+            if counter is None:
+                counter = counters[path] = self.stats.counter(
+                    _PATH_COUNTER_KEY[path])
+            counter.value += 1
+        self.stage_accounting.record(path, spans, total_ns)
+        samples = self._miss_samples
         if samples is None:
-            samples = self._fast_miss_samples = self.stats.histogram(
+            samples = self._miss_samples = self.stats.histogram(
                 "miss_latency_ns").samples
         samples.append(total_ns)
+        probe = self._probe
+        if probe is not None and probe.bus.active:
+            self._emit_miss(probe, path, spans, total_ns, ppn, count_path)
+
+    @staticmethod
+    def _emit_miss(probe, path: str, spans, total_ns: float, ppn: int,
+                   count_path: bool) -> None:
+        if count_path:
+            # The first stage starts at the miss's arrival.
+            probe.emit("access_path", spans[0][1], path=path,
+                       latency_ns=total_ns, ppn=ppn)
+        for name, start, latency_ns, critical, wasted, _slack in spans:
+            probe.emit("stage", start, stage=name, path=path,
+                       latency_ns=latency_ns, end_ns=start + latency_ns,
+                       critical=critical, wasted=wasted, ppn=ppn)

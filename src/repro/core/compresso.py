@@ -21,20 +21,12 @@ from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_SIZE
 from repro.core.base import (
     MemoryController,
-    MissResult,
     PATH_CTE_HIT,
     PATH_SERIAL_NO_CTE,
     register_controller,
 )
 from repro.core.compmodel import PageCompressionModel
-from repro.core.pipeline import (
-    STAGE_CTE_FETCH,
-    STAGE_DATA_FETCH,
-    Stage,
-    cond,
-    evaluate,
-    serial,
-)
+from repro.core.pipeline import STAGE_CTE_FETCH, STAGE_DATA_FETCH
 from repro.core.config import SystemConfig
 from repro.dram.system import DRAMSystem
 from repro.mc.cte import CTE_SIZE_BLOCKLEVEL, CompressoCTE
@@ -143,39 +135,16 @@ class CompressoController(MemoryController):
     # Runtime
     # ------------------------------------------------------------------
 
-    def serve_l3_miss(self, ppn: int, block_index: int, now_ns: float,
-                      is_write: bool = False) -> MissResult:
-        with self._timed("serve_miss"):
-            self.stats.counter("l3_misses").increment()
-            cache_hit = self.cte_cache.lookup(ppn)
-            # On a CTE-cache miss the metadata fetch (possibly via the LLC
-            # victim path) strictly precedes the data fetch -- the Figure
-            # 8a serialization TMCC exists to remove.
-            pipeline = cond(
-                cache_hit,
-                self._data_fetch_stage(ppn, block_index),
-                serial(
-                    Stage(STAGE_CTE_FETCH,
-                          lambda start_ns: self._fetch_cte_serial_ns(
-                              ppn, start_ns)),
-                    self._data_fetch_stage(ppn, block_index),
-                ),
-            )
-            timeline = evaluate(pipeline, now_ns)
-            if cache_hit:
-                path = PATH_CTE_HIT
-            else:
-                self._fill_cte_cache(ppn)
-                path = PATH_SERIAL_NO_CTE
-            return self._finish_miss(timeline, path, False, now_ns, ppn)
-
     def serve_l3_miss_fast(self, ppn: int, block_index: int, now_ns: float,
                            is_write: bool = False):
-        """Zero-observer twin of :meth:`serve_l3_miss` (see base.py)."""
-        counter = self._fast_l3_counter
-        if counter is None:
-            counter = self._fast_l3_counter = self.stats.counter("l3_misses")
-        counter.value += 1
+        """Serve an LLC miss; returns ``(latency_ns, path, spans)``.
+
+        On a CTE-cache miss the metadata fetch (possibly via the LLC
+        victim path) strictly precedes the data fetch -- the Figure 8a
+        serialization TMCC exists to remove.
+        """
+        self._l3_counter.value += 1
+        # CTECache.lookup, inlined: this runs once per LLC miss.
         cache = self.cte_cache
         block = ppn // cache.pages_per_block
         lru = cache._lru
@@ -185,79 +154,40 @@ class CompressoController(MemoryController):
         if cache_hit:
             cache_stats.hits += 1
             lru.move_to_end(block)
-            total = self._dram_read_fast(
-                self._data_address(ppn, block_index), now_ns)
-            spans = ((STAGE_DATA_FETCH, total, True, False, 0.0),)
+            total = self._dram_read(self._data_address(ppn, block_index),
+                                    now_ns)
+            spans = ((STAGE_DATA_FETCH, now_ns, total, True, False, 0.0),)
             path = PATH_CTE_HIT
         else:
-            cte_lat = self._fetch_cte_serial_fast(ppn, now_ns)
-            data_lat = self._dram_read_fast(
-                self._data_address(ppn, block_index), now_ns + cte_lat)
+            cte_lat = self._fetch_cte(ppn, now_ns)
+            data_ns = now_ns + cte_lat
+            data_lat = self._dram_read(self._data_address(ppn, block_index),
+                                       data_ns)
             total = cte_lat + data_lat
-            spans = ((STAGE_CTE_FETCH, cte_lat, True, False, 0.0),
-                     (STAGE_DATA_FETCH, data_lat, True, False, 0.0))
+            spans = ((STAGE_CTE_FETCH, now_ns, cte_lat, True, False, 0.0),
+                     (STAGE_DATA_FETCH, data_ns, data_lat, True, False, 0.0))
             self._fill_cte_cache(ppn)
             path = PATH_SERIAL_NO_CTE
-        self._finish_fast(path, spans, total)
-        return total, path
+        self._finish(path, spans, total, ppn)
+        return total, path, spans
 
-    def _fetch_cte_serial_fast(self, ppn: int, now_ns: float) -> float:
-        """:meth:`_fetch_cte_serial_ns` via the allocation-free DRAM read."""
-        stats = self.stats
-        counters = self._fast_path_counters
-        if self.cte_victim_in_llc:
-            block = ppn // self.cte_cache.pages_per_block
-            victims = self._llc_victims
-            if block in victims:
-                victims.move_to_end(block)
-                counter = counters.get("cte_llc_hits")
-                if counter is None:
-                    counter = counters["cte_llc_hits"] = stats.counter(
-                        "cte_llc_hits")
-                counter.value += 1
-                return self.LLC_ACCESS_NS
-            counter = counters.get("cte_llc_misses")
-            if counter is None:
-                counter = counters["cte_llc_misses"] = stats.counter(
-                    "cte_llc_misses")
-            counter.value += 1
-            counter = counters.get("cte_dram_fetches")
-            if counter is None:
-                counter = counters["cte_dram_fetches"] = stats.counter(
-                    "cte_dram_fetches")
-            counter.value += 1
-            return self.LLC_ACCESS_NS + self._dram_read_fast(
-                self._cte_address(ppn, CTE_SIZE_BLOCKLEVEL), now_ns,
-                include_noc=False)
-        counter = counters.get("cte_dram_fetches")
-        if counter is None:
-            counter = counters["cte_dram_fetches"] = stats.counter(
-                "cte_dram_fetches")
-        counter.value += 1
-        return self._dram_read_fast(
-            self._cte_address(ppn, CTE_SIZE_BLOCKLEVEL), now_ns,
-            include_noc=False)
-
-    def _fetch_cte_serial_ns(self, ppn: int, now_ns: float) -> float:
+    def _fetch_cte(self, ppn: int, now_ns: float) -> float:
         """Serial CTE fetch, optionally probing the LLC victim copy."""
+        address = self._cte_address(ppn, CTE_SIZE_BLOCKLEVEL)
+        if not self.cte_victim_in_llc:
+            self._count("cte_dram_fetches")
+            return self._dram_read(address, now_ns, include_noc=False)
         block = ppn // self.cte_cache.pages_per_block
-        if self.cte_victim_in_llc:
-            if block in self._llc_victims:
-                self._llc_victims.move_to_end(block)
-                self.stats.counter("cte_llc_hits").increment()
-                return self.LLC_ACCESS_NS
-            # LLC miss discovered ~20 ns late, then DRAM.
-            self.stats.counter("cte_llc_misses").increment()
-            self.stats.counter("cte_dram_fetches").increment()
-            return self.LLC_ACCESS_NS + self._dram_read_ns(
-                self._cte_address(ppn, CTE_SIZE_BLOCKLEVEL), now_ns,
-                include_noc=False,
-            )
-        self.stats.counter("cte_dram_fetches").increment()
-        return self._dram_read_ns(
-            self._cte_address(ppn, CTE_SIZE_BLOCKLEVEL), now_ns,
-            include_noc=False,
-        )
+        victims = self._llc_victims
+        if block in victims:
+            victims.move_to_end(block)
+            self._count("cte_llc_hits")
+            return self.LLC_ACCESS_NS
+        # LLC miss discovered ~20 ns late, then DRAM.
+        self._count("cte_llc_misses")
+        self._count("cte_dram_fetches")
+        return self.LLC_ACCESS_NS + self._dram_read(address, now_ns,
+                                                    include_noc=False)
 
     def _fill_cte_cache(self, ppn: int) -> None:
         """Fill the CTE cache; spill the victim to the LLC if enabled."""

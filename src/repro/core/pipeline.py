@@ -1,43 +1,38 @@
-"""Declarative latency composition for the LLC-miss service path.
+"""Stage vocabulary, service timelines, and per-path stage accounting.
 
 The paper's central claims are timeline claims: Figure 8 contrasts the
 serial CTE-fetch -> data-fetch chain against TMCC's parallel speculative
 fetch, Figure 18 decomposes average L3-miss latency, and Figure 19 splits
-accesses across service paths.  Instead of each controller hand-threading
-``now_ns`` offsets and ad-hoc ``max()`` arithmetic, the miss path is
-*data*: controllers build a small expression tree out of
+accesses across service paths.  Each controller serves a miss with flat
+code (``serve_l3_miss_fast``) that reports the stages it ran as *span
+tuples*::
 
-- :class:`Stage` -- one named unit of work with a latency (a constant, or
-  a callable evaluated with the stage's start time so DRAM queue state is
-  sampled at the moment the request would actually issue),
-- :func:`serial` -- stages back to back (latencies sum),
-- :func:`parallel` -- stages racing (latency is the max; losing branches
-  get their hidden time attributed as *slack*, and speculative stages
-  marked ``wasted`` keep their full cost visible),
-- :func:`cond` -- build-time selection between alternative sub-paths,
-- :func:`defer` -- a sub-pipeline whose shape (or closures) depend on its
-  own start time, built lazily during evaluation.
+    (name, start_ns, latency_ns, critical, wasted, slack_ns)
 
-:func:`evaluate` walks the tree once, in declaration order, and returns a
-:class:`ServiceTimeline` recording the start/end of every stage.  The
-evaluation is careful to reproduce the exact floating-point association
-of the hand-written arithmetic it replaced (sums accumulate left to
-right; a nested pipeline's base time is formed with a single addition),
-so a controller refactored onto the algebra reports bit-identical
-``MissResult.latency_ns`` values.
+in the order the stages were issued.  ``critical`` marks serial stages
+and parallel winners (the critical spans of a miss sum to its latency);
+a losing parallel branch is non-critical and its last span carries the
+time it finished before the winner as ``slack_ns``; ``wasted`` marks
+discarded speculative work (TMCC's stale-CTE data fetch), whose cost is
+real DRAM work even off the critical path.
 
-:class:`StageAccounting` aggregates timelines per access path for the
-Figure 8/18 reconstructions (``repro run --breakdown``).
+:class:`StageAccounting` folds span tuples into per-path aggregates for
+the Figure 8/18 reconstructions (``repro run --breakdown``) and into
+per-stage latency histograms, and
+:meth:`ServiceTimeline.from_spans` turns them into the timeline objects
+observers consume (span tracing, ``MissResult.timeline``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: A stage's cost: a non-negative constant, or a callable receiving the
-#: stage's absolute start time (ns) and returning the latency (ns).
-Latency = Union[float, int, Callable[[float], float]]
+from repro.common.stats import StatGroup
+
+#: One stage of one miss: ``(name, start_ns, latency_ns, critical,
+#: wasted, slack_ns)``.
+SpanTuple = Tuple[str, float, float, bool, bool, float]
 
 # ----------------------------------------------------------------------
 # Canonical stage names (metric keys are ``controller.stage.<name>.*``)
@@ -46,11 +41,9 @@ Latency = Union[float, int, Callable[[float], float]]
 STAGE_CTE_FETCH = "cte_fetch"
 STAGE_DATA_FETCH = "data_fetch"
 STAGE_SPEC_DATA_FETCH = "spec_data_fetch"
-STAGE_CTE_REPAIR = "cte_repair"
 STAGE_ML2_READ = "ml2_read"
 STAGE_DECOMPRESS = "decompress"
 STAGE_MIGRATION_STALL = "migration_stall"
-STAGE_MIGRATE = "migrate"
 STAGE_EVICT = "evict"
 STAGE_EMERGENCY_EVICT = "emergency_evict"
 
@@ -87,11 +80,22 @@ class StageSpan:
 
 @dataclass(slots=True)
 class ServiceTimeline:
-    """The evaluated pipeline: every stage's placement plus the total."""
+    """One served miss: every stage's placement plus the total."""
 
     start_ns: float
     total_ns: float
     spans: List[StageSpan]
+
+    @classmethod
+    def from_spans(cls, start_ns: float, total_ns: float,
+                   spans: Sequence[SpanTuple]) -> "ServiceTimeline":
+        """The timeline of a miss served at ``start_ns`` from its span
+        tuples."""
+        return cls(start_ns, total_ns, [
+            StageSpan(name, start, start + latency, latency, critical,
+                      slack, wasted)
+            for name, start, latency, critical, wasted, slack in spans
+        ])
 
     @property
     def end_ns(self) -> float:
@@ -113,156 +117,6 @@ class ServiceTimeline:
 
     def wasted_ns(self) -> float:
         return sum(span.latency_ns for span in self.spans if span.wasted)
-
-
-class PipelineNode:
-    """Base class of the composition tree."""
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        """Append this node's spans, starting at ``base_ns``; return the
-        node's duration in ns."""
-        raise NotImplementedError
-
-
-class Stage(PipelineNode):
-    """One named unit of work.
-
-    ``latency`` is either a constant or a callable invoked with the
-    stage's absolute start time; callables may perform the modeled side
-    effects (DRAM reads, migration-buffer reservations) -- evaluation
-    order is declaration order, so side effects happen exactly where the
-    hand-written control flow performed them.
-
-    ``record=False`` runs the stage (for its side effects) without
-    emitting a span -- bookkeeping actions that take no foreground time.
-    """
-
-    __slots__ = ("name", "latency", "wasted", "record")
-
-    def __init__(self, name: str, latency: Latency, wasted: bool = False,
-                 record: bool = True) -> None:
-        if not name:
-            raise ValueError("stage name must be non-empty")
-        if not callable(latency) and latency < 0:
-            raise ValueError(f"stage {name!r} latency must be non-negative")
-        self.name = name
-        self.latency = latency
-        self.wasted = wasted
-        self.record = record
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        latency = self.latency
-        if callable(latency):
-            latency = latency(base_ns)
-        if self.record:
-            spans.append(StageSpan(self.name, base_ns, base_ns + latency,
-                                   latency, wasted=self.wasted))
-        return latency
-
-
-class _Serial(PipelineNode):
-    __slots__ = ("children",)
-
-    def __init__(self, children: Sequence[PipelineNode]) -> None:
-        self.children = list(children)
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        total = 0.0
-        for child in self.children:
-            total += child._evaluate(base_ns + total, spans)
-        return total
-
-
-class _Parallel(PipelineNode):
-    __slots__ = ("children",)
-
-    def __init__(self, children: Sequence[PipelineNode]) -> None:
-        if not children:
-            raise ValueError("parallel() needs at least one branch")
-        self.children = list(children)
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        durations: List[float] = []
-        branch_slices: List[Tuple[int, int]] = []
-        for child in self.children:
-            mark = len(spans)
-            durations.append(child._evaluate(base_ns, spans))
-            branch_slices.append((mark, len(spans)))
-        duration = max(durations)
-        winner = durations.index(duration)
-        for index, (lo, hi) in enumerate(branch_slices):
-            if index == winner:
-                continue
-            slack = duration - durations[index]
-            for span in spans[lo:hi]:
-                span.critical = False
-            # The branch's hidden time belongs to its last span (its
-            # completion is what the winner overlaps past).
-            if hi > lo and slack > 0.0:
-                spans[hi - 1].slack_ns += slack
-        return duration
-
-
-class _Deferred(PipelineNode):
-    __slots__ = ("builder",)
-
-    def __init__(self, builder: Callable[[float], "NodeLike"]) -> None:
-        self.builder = builder
-
-    def _evaluate(self, base_ns: float, spans: List[StageSpan]) -> float:
-        return as_node(self.builder(base_ns))._evaluate(base_ns, spans)
-
-
-NodeLike = Union[PipelineNode, Stage]
-
-
-def as_node(node: NodeLike) -> PipelineNode:
-    if isinstance(node, PipelineNode):
-        return node
-    raise TypeError(f"not a pipeline node: {node!r}")
-
-
-def serial(*children: NodeLike) -> PipelineNode:
-    """Stages back to back; the duration is the left-to-right sum."""
-    return _Serial([as_node(child) for child in children])
-
-
-def parallel(*children: NodeLike) -> PipelineNode:
-    """Branches racing from a common start; the duration is the max.
-
-    Branches are evaluated in declaration order (side effects included);
-    losing branches are marked non-critical and their hidden completion
-    time is attributed as :attr:`StageSpan.slack_ns`.
-    """
-    return _Parallel([as_node(child) for child in children])
-
-
-def cond(condition: object, then: NodeLike,
-         otherwise: Optional[NodeLike] = None) -> PipelineNode:
-    """Build-time selection: ``then`` when truthy, else ``otherwise``
-    (an empty pipeline when omitted)."""
-    if condition:
-        return as_node(then)
-    if otherwise is None:
-        return _Serial([])
-    return as_node(otherwise)
-
-
-def defer(builder: Callable[[float], NodeLike]) -> PipelineNode:
-    """A sub-pipeline built at evaluation time from its own start time.
-
-    Use when a stage's cost model needs the sub-pipeline's base time in a
-    closure (e.g. a migration-buffer reservation made at the access's
-    arrival, not at the reserving stage's own start).
-    """
-    return _Deferred(builder)
-
-
-def evaluate(node: NodeLike, start_ns: float = 0.0) -> ServiceTimeline:
-    """Run the pipeline once; returns the recorded timeline."""
-    spans: List[StageSpan] = []
-    total = as_node(node)._evaluate(start_ns, spans)
-    return ServiceTimeline(start_ns=start_ns, total_ns=total, spans=spans)
 
 
 # ----------------------------------------------------------------------
@@ -294,58 +148,69 @@ class StageAccounting:
     Registered as a metrics source (``controller.breakdown.*``): calling
     the instance flattens into ``<path>.<stage>.mean_ns`` /
     ``.critical_ns`` / ``.count`` keys, plus each path's ``total_ns``.
-    ``reset()`` supports the warm-up boundary.
+    Every span also lands in the ``histograms`` group as
+    ``<stage>.ns``; wasted speculative work and parallel slack get their
+    own ``<stage>.wasted_ns`` / ``<stage>.slack_ns`` histograms, so the
+    Figure 8 timelines can separate paid, discarded, and hidden time.
+    ``reset()`` supports the warm-up boundary (the histogram group is
+    reset by its own owner).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, histograms: StatGroup) -> None:
         self._paths: Dict[str, Dict[str, StageTotals]] = {}
         self._path_total_ns: Dict[str, float] = {}
         self._path_count: Dict[str, int] = {}
+        self.histograms = histograms
+        #: stage name -> [``.ns``, ``.wasted_ns``, ``.slack_ns``] sample
+        #: lists, each bound on first use (histogram creation order is
+        #: observable).  Histograms reset in place, so the lists stay
+        #: valid across resets.
+        self._samples: Dict[str, list] = {}
 
-    def record(self, path: str, timeline: ServiceTimeline) -> None:
-        stages = self._paths.setdefault(path, {})
-        for span in timeline.spans:
-            totals = stages.get(span.name)
-            if totals is None:
-                totals = stages[span.name] = StageTotals()
-            totals.count += 1
-            totals.total_ns += span.latency_ns
-            if span.critical:
-                totals.critical_ns += span.latency_ns
-            if span.wasted:
-                totals.wasted_ns += span.latency_ns
-            totals.slack_ns += span.slack_ns
-        self._path_total_ns[path] = (
-            self._path_total_ns.get(path, 0.0) + timeline.total_ns
-        )
-        self._path_count[path] = self._path_count.get(path, 0) + 1
+    def record(self, path: str, spans: Sequence[SpanTuple],
+               total_ns: float) -> None:
+        """Fold one miss (its span tuples and latency) into ``path``.
 
-    def record_span(self, path: str, name: str, latency_ns: float,
-                    critical: bool, wasted: bool, slack_ns: float) -> None:
-        """Fast-path equivalent of one span's share of :meth:`record`.
-
-        Lets the zero-observer fast path aggregate without materializing
-        :class:`StageSpan`/:class:`ServiceTimeline` objects; pair with
-        :meth:`record_total` once per miss.
+        Runs once per LLC miss, so histograms are reached through bound
+        sample lists.
         """
         stages = self._paths.get(path)
         if stages is None:
             stages = self._paths[path] = {}
-        totals = stages.get(name)
-        if totals is None:
-            totals = stages[name] = StageTotals()
-        totals.count += 1
-        totals.total_ns += latency_ns
-        if critical:
-            totals.critical_ns += latency_ns
-        if wasted:
-            totals.wasted_ns += latency_ns
-        totals.slack_ns += slack_ns
+        samples = self._samples
+        for name, _start, latency_ns, critical, wasted, slack_ns in spans:
+            totals = stages.get(name)
+            if totals is None:
+                totals = stages[name] = StageTotals()
+            totals.count += 1
+            totals.total_ns += latency_ns
+            if critical:
+                totals.critical_ns += latency_ns
+            bound = samples.get(name)
+            if bound is None:
+                bound = samples[name] = [
+                    self.histograms.histogram(f"{name}.ns").samples, None,
+                    None]
+            bound[0].append(latency_ns)
+            if slack_ns:
+                totals.slack_ns += slack_ns
+            if wasted:
+                totals.wasted_ns += latency_ns
+                self._bind(bound, 1, name, "wasted_ns").append(latency_ns)
+            elif slack_ns:
+                self._bind(bound, 2, name, "slack_ns").append(slack_ns)
+        path_total = self._path_total_ns
+        path_total[path] = path_total.get(path, 0.0) + total_ns
+        path_count = self._path_count
+        path_count[path] = path_count.get(path, 0) + 1
 
-    def record_total(self, path: str, total_ns: float) -> None:
-        """The per-miss path totals of :meth:`record` (fast-path half)."""
-        self._path_total_ns[path] = self._path_total_ns.get(path, 0.0) + total_ns
-        self._path_count[path] = self._path_count.get(path, 0) + 1
+    def _bind(self, bound: list, index: int, name: str, suffix: str) -> list:
+        """``bound[index]``, first binding histogram ``<name>.<suffix>``."""
+        samples = bound[index]
+        if samples is None:
+            samples = bound[index] = self.histograms.histogram(
+                f"{name}.{suffix}").samples
+        return samples
 
     # -- reading -------------------------------------------------------
 

@@ -31,13 +31,8 @@ from repro.core.base import (
 from repro.core.config import SystemConfig
 from repro.core.pipeline import (
     STAGE_CTE_FETCH,
-    STAGE_CTE_REPAIR,
     STAGE_DATA_FETCH,
     STAGE_SPEC_DATA_FETCH,
-    PipelineNode,
-    Stage,
-    parallel,
-    serial,
 )
 from repro.core.twolevel import TwoLevelController
 from repro.dram.system import DRAMSystem
@@ -103,7 +98,8 @@ class TMCCController(TwoLevelController):
         shadow, pairs = harvest
         slots = shadow.cte_slots if shadow is not None else None
         buffer = self._cte_buffer
-        # Inlined _buffer_insert: one pop per insert, exactly as before.
+        # Bounded FIFO insert: re-inserting moves a PPN to the MRU end,
+        # and each insert past capacity evicts the oldest entry.
         for ppn, slot in pairs:
             if ppn in buffer:
                 del buffer[ppn]  # re-inserting below moves it to MRU
@@ -144,133 +140,90 @@ class TMCCController(TwoLevelController):
             return None
         return (cte.dram_page, cte.in_ml2, cte.dram_offset)
 
-    def _buffer_insert(self, ppn: int, embedded: Optional[tuple],
-                       ptb_address: int) -> None:
-        buffer = self._cte_buffer
-        if ppn in buffer:
-            del buffer[ppn]  # re-inserting below moves it to MRU
-        buffer[ppn] = (embedded, ptb_address)
-        while len(buffer) > CTE_BUFFER_ENTRIES:
-            del buffer[next(iter(buffer))]
-
     # ------------------------------------------------------------------
     # Miss side: parallel speculative access (Figures 8b/8c, 11)
     # ------------------------------------------------------------------
 
-    def _translate_pipeline(self, ppn: int, cte: PageCTE,
-                            block_index: int) -> Tuple[PipelineNode, str]:
+    def _translate(self, ppn: int, cte: PageCTE, block_index: int,
+                   now_ns: float):
+        """CTE-cache miss; returns ``(spans, total_ns, path)``.
+
+        With a buffered embedded CTE the data access is issued
+        speculatively alongside the verifying CTE read.  Parallel
+        branches start together; the first maximal branch wins (ties go
+        to the CTE fetch), the loser is non-critical, and its last span
+        carries the time it finished early as slack.
+        """
         entry = self._cte_buffer.get(ppn)
         if entry is None or entry[0] is None:
             # Uncommon: no embedded CTE available -> serial, like prior work.
-            return super()._translate_pipeline(ppn, cte, block_index)
+            return super()._translate(ppn, cte, block_index, now_ns)
 
         snapshot, ptb_address = entry
+        in_ml2 = cte.in_ml2
         if snapshot == self._snapshot(ppn):
             # Common case (Figure 8b): the speculative data access races
             # the verifying CTE read; the miss pays only the longer leg.
-            pipeline = parallel(
-                self._cte_fetch_stage(ppn),
-                self._data_pipeline(ppn, cte, block_index),
-            )
-            return pipeline, PATH_ML2 if cte.in_ml2 else PATH_PARALLEL_OK
+            cte_lat = self._fetch_cte(ppn, now_ns)
+            if in_ml2:
+                data_spans, data_dur = self._ml2(ppn, cte, now_ns)
+                path = PATH_ML2
+            else:
+                data_dur = self._dram_read(
+                    self._data_address(ppn, block_index), now_ns)
+                data_spans = ((STAGE_DATA_FETCH, now_ns, data_dur, True,
+                               False, 0.0),)
+                path = PATH_PARALLEL_OK
+            if cte_lat >= data_dur:
+                slack = cte_lat - data_dur
+                spans = [(STAGE_CTE_FETCH, now_ns, cte_lat, True, False, 0.0)]
+                last = len(data_spans) - 1
+                for index, (name, start, lat, _critical, wasted,
+                            span_slack) in enumerate(data_spans):
+                    if index == last and slack > 0.0:
+                        span_slack += slack
+                    spans.append((name, start, lat, False, wasted, span_slack))
+                return spans, cte_lat, path
+            slack = data_dur - cte_lat
+            spans = [(STAGE_CTE_FETCH, now_ns, cte_lat, False, False,
+                      slack if slack > 0.0 else 0.0)]
+            spans.extend(data_spans)
+            return spans, data_dur, path
 
         # Mismatch (Figure 8c): the speculative DRAM access is wasted
         # work; the verify detects it, the block is re-fetched from the
         # page's true location, and the PTB's embedded copy is repaired
         # lazily off the critical path.
-        def spec_read(start_ns: float) -> float:
-            return self._dram_read_ns(
-                snapshot[0] * 4096 + block_index * 64, start_ns
-            )
-
-        def repair(_start_ns: float) -> float:
-            self._repair_embedded(ppn, ptb_address)
-            self.stats.counter("embedded_mismatches").increment()
-            return 0.0
-
-        pipeline = serial(
-            parallel(
-                self._cte_fetch_stage(ppn),
-                Stage(STAGE_SPEC_DATA_FETCH, spec_read, wasted=True),
-            ),
-            self._data_pipeline(ppn, cte, block_index),
-            Stage(STAGE_CTE_REPAIR, repair, record=False),
-        )
-        return pipeline, PATH_ML2 if cte.in_ml2 else PATH_PARALLEL_MISMATCH
-
-    def _translate_fast(self, ppn: int, cte: PageCTE, block_index: int,
-                        now_ns: float):
-        """Fast-path twin of :meth:`_translate_pipeline`.
-
-        Winner/slack bookkeeping replicates ``_Parallel._evaluate``: the
-        first maximal branch wins (``max``/``index`` semantics), losing
-        branches drop to non-critical, and their hidden completion time
-        lands on the branch's last recorded span.
-        """
-        entry = self._cte_buffer.get(ppn)
-        if entry is None or entry[0] is None:
-            return super()._translate_fast(ppn, cte, block_index, now_ns)
-
-        snapshot, ptb_address = entry
-        in_ml2 = cte.in_ml2
-        if snapshot == self._snapshot(ppn):
-            cte_lat = self._fetch_cte_fast(ppn, now_ns)
-            if in_ml2:
-                data_spans, data_dur = self._ml2_fast(ppn, cte, now_ns)
-                path = PATH_ML2
-            else:
-                data_dur = self._dram_read_fast(
-                    self._data_address(ppn, block_index), now_ns)
-                data_spans = ((STAGE_DATA_FETCH, data_dur, True, False, 0.0),)
-                path = PATH_PARALLEL_OK
-            if cte_lat >= data_dur:  # ties go to the first branch, like max()
-                duration = cte_lat
-                slack = duration - data_dur
-                spans = [(STAGE_CTE_FETCH, cte_lat, True, False, 0.0)]
-                last = len(data_spans) - 1
-                for index, (name, lat, _critical, wasted, span_slack) in \
-                        enumerate(data_spans):
-                    if index == last and slack > 0.0:
-                        span_slack += slack
-                    spans.append((name, lat, False, wasted, span_slack))
-            else:
-                duration = data_dur
-                slack = duration - cte_lat
-                spans = [(STAGE_CTE_FETCH, cte_lat, False, False,
-                          slack if slack > 0.0 else 0.0)]
-                spans.extend(data_spans)
-            return spans, duration, path
-
-        # Mismatch: parallel(cte, wasted spec read) then the real data
-        # access, then the lazy repair (record=False, zero latency).
-        cte_lat = self._fetch_cte_fast(ppn, now_ns)
-        spec_lat = self._dram_read_fast(
-            snapshot[0] * 4096 + block_index * 64, now_ns)
+        cte_lat = self._fetch_cte(ppn, now_ns)
+        spec_lat = self._dram_read(snapshot[0] * 4096 + block_index * 64,
+                                   now_ns)
         if cte_lat >= spec_lat:
             head_dur = cte_lat
             slack = head_dur - spec_lat
-            head = [(STAGE_CTE_FETCH, cte_lat, True, False, 0.0),
-                    (STAGE_SPEC_DATA_FETCH, spec_lat, False, True,
-                     slack if slack > 0.0 else 0.0)]
+            spans = [(STAGE_CTE_FETCH, now_ns, cte_lat, True, False, 0.0),
+                     (STAGE_SPEC_DATA_FETCH, now_ns, spec_lat, False, True,
+                      slack if slack > 0.0 else 0.0)]
         else:
             head_dur = spec_lat
             slack = head_dur - cte_lat
-            head = [(STAGE_CTE_FETCH, cte_lat, False, False,
-                     slack if slack > 0.0 else 0.0),
-                    (STAGE_SPEC_DATA_FETCH, spec_lat, True, True, 0.0)]
-        base_ns = now_ns + head_dur
+            spans = [(STAGE_CTE_FETCH, now_ns, cte_lat, False, False,
+                      slack if slack > 0.0 else 0.0),
+                     (STAGE_SPEC_DATA_FETCH, now_ns, spec_lat, True, True,
+                      0.0)]
+        data_ns = now_ns + head_dur
         if in_ml2:
-            data_spans, data_dur = self._ml2_fast(ppn, cte, base_ns)
+            data_spans, data_dur = self._ml2(ppn, cte, data_ns)
             path = PATH_ML2
         else:
-            data_dur = self._dram_read_fast(
-                self._data_address(ppn, block_index), base_ns)
-            data_spans = ((STAGE_DATA_FETCH, data_dur, True, False, 0.0),)
+            data_dur = self._dram_read(self._data_address(ppn, block_index),
+                                       data_ns)
+            data_spans = ((STAGE_DATA_FETCH, data_ns, data_dur, True, False,
+                           0.0),)
             path = PATH_PARALLEL_MISMATCH
-        head.extend(data_spans)
+        spans.extend(data_spans)
         self._repair_embedded(ppn, ptb_address)
         self.stats.counter("embedded_mismatches").value += 1
-        return head, head_dur + data_dur, path
+        return spans, head_dur + data_dur, path
 
     def _repair_embedded(self, ppn: int, ptb_address: int) -> None:
         """Piggybacked-response repair (Section V-A3, last paragraph)."""

@@ -15,15 +15,13 @@ latencies ML2 pays (IBM's vs the memory-specialized ASIC).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError
 from repro.common.rng import DeterministicRNG
 from repro.common.units import BLOCK_SIZE, PAGE_SIZE
 from repro.core.base import (
-    _DATA_FETCH_NS_KEY,
     MemoryController,
-    MissResult,
     PATH_CTE_HIT,
     PATH_ML2,
     PATH_SERIAL_NO_CTE,
@@ -34,15 +32,8 @@ from repro.core.pipeline import (
     STAGE_DECOMPRESS,
     STAGE_EMERGENCY_EVICT,
     STAGE_EVICT,
-    STAGE_MIGRATE,
     STAGE_MIGRATION_STALL,
     STAGE_ML2_READ,
-    PipelineNode,
-    Stage,
-    cond,
-    defer,
-    evaluate,
-    serial,
 )
 from repro.core.compmodel import PageCompressionModel, PageRecord
 from repro.core.config import SystemConfig
@@ -208,98 +199,24 @@ class TwoLevelController(MemoryController):
     # Runtime: LLC misses
     # ------------------------------------------------------------------
 
-    def serve_l3_miss(self, ppn: int, block_index: int, now_ns: float,
-                      is_write: bool = False) -> MissResult:
-        with self._timed("serve_miss"):
-            return self._serve_l3_miss(ppn, block_index, now_ns, is_write)
-
-    def _serve_l3_miss(self, ppn: int, block_index: int, now_ns: float,
-                       is_write: bool) -> MissResult:
-        self.stats.counter("l3_misses").increment()
-        cte = self._cte.get(ppn)
-        if cte is None:  # page unknown to the controller (e.g. I/O space)
-            timeline = evaluate(self._data_fetch_stage(ppn, block_index), now_ns)
-            self.stats.histogram("miss_latency_ns").record(timeline.total_ns)
-            self._record_stages(timeline, PATH_CTE_HIT, ppn)
-            return MissResult(timeline.total_ns, PATH_CTE_HIT,
-                              timeline=timeline)
-
-        cache_hit = self.cte_cache.lookup(ppn)
-        in_ml2 = cte.in_ml2
-        if cache_hit:
-            pipeline = self._data_pipeline(ppn, cte, block_index)
-            path = PATH_ML2 if in_ml2 else PATH_CTE_HIT
-        else:
-            pipeline, path = self._translate_pipeline(ppn, cte, block_index)
-        timeline = evaluate(pipeline, now_ns)
-        if not cache_hit:
-            self.cte_cache.fill(ppn)
-
-        if not cte.in_ml2 and not cte.is_incompressible:
-            self.recency.on_access(ppn)
-        self._record_path(path, now_ns, timeline.total_ns, ppn)
-        self._record_stages(timeline, path, ppn)
-        self.stats.histogram("miss_latency_ns").record(timeline.total_ns)
-        return MissResult(timeline.total_ns, path, in_ml2=in_ml2,
-                          timeline=timeline)
-
-    def _translate_pipeline(self, ppn: int, cte: PageCTE,
-                            block_index: int) -> Tuple[PipelineNode, str]:
-        """CTE-cache miss: the baseline fetches the CTE *serially*
-        (Figure 8a) -- the data access cannot start before the CTE
-        arrives.  TMCC overrides this with the parallel speculative
-        pipeline."""
-        pipeline = serial(
-            self._cte_fetch_stage(ppn),
-            self._data_pipeline(ppn, cte, block_index),
-        )
-        return pipeline, PATH_ML2 if cte.in_ml2 else PATH_SERIAL_NO_CTE
-
-    def _cte_fetch_stage(self, ppn: int) -> Stage:
-        return Stage(STAGE_CTE_FETCH,
-                     lambda start_ns: self._fetch_cte_ns(ppn, start_ns))
-
-    def _fetch_cte_ns(self, ppn: int, now_ns: float) -> float:
-        self.stats.counter("cte_dram_fetches").increment()
-        return self._dram_read_ns(
-            self._cte_address(ppn, CTE_SIZE_PAGE), now_ns, include_noc=False
-        )
-
-    def _data_pipeline(self, ppn: int, cte: PageCTE,
-                       block_index: int) -> PipelineNode:
-        """Fetch the block: one DRAM read in ML1, or the ML2 decompress +
-        migrate pipeline.  The ML2 side is deferred because its stage
-        costs close over the sub-pipeline's own start time (the
-        migration-buffer reservation is made at arrival)."""
-        return cond(
-            cte.in_ml2,
-            defer(lambda start_ns: self._ml2_pipeline(ppn, cte, start_ns)),
-            self._data_fetch_stage(ppn, block_index),
-        )
-
-    # ------------------------------------------------------------------
-    # Zero-observer fast path (mirrors _serve_l3_miss; see base.py)
-    # ------------------------------------------------------------------
-
     def serve_l3_miss_fast(self, ppn: int, block_index: int, now_ns: float,
                            is_write: bool = False):
-        counter = self._fast_l3_counter
-        if counter is None:
-            counter = self._fast_l3_counter = self.stats.counter("l3_misses")
-        counter.value += 1
+        """Serve an LLC miss; returns ``(latency_ns, path, spans)``.
+
+        A CTE-cache hit goes straight to the data (one DRAM read in ML1,
+        the ML2 decompress + migrate service otherwise); a miss runs
+        :meth:`_translate` first and then fills the CTE cache.
+        """
+        self._l3_counter.value += 1
         cte = self._cte.get(ppn)
         if cte is None:  # page unknown to the controller (e.g. I/O space)
-            latency = self._dram_read_fast(
-                self._data_address(ppn, block_index), now_ns)
-            self.stats.histogram("miss_latency_ns").samples.append(latency)
-            accounting = self.stage_accounting
-            accounting.record_span(PATH_CTE_HIT, STAGE_DATA_FETCH, latency,
-                                   True, False, 0.0)
-            accounting.record_total(PATH_CTE_HIT, latency)
-            self.stage_stats.histogram(
-                _DATA_FETCH_NS_KEY).samples.append(latency)
-            return latency, PATH_CTE_HIT
+            latency = self._dram_read(self._data_address(ppn, block_index),
+                                      now_ns)
+            spans = ((STAGE_DATA_FETCH, now_ns, latency, True, False, 0.0),)
+            self._finish(PATH_CTE_HIT, spans, latency, ppn, False)
+            return latency, PATH_CTE_HIT, spans
 
+        # CTECache.lookup, inlined: this runs once per LLC miss.
         cache = self.cte_cache
         block = ppn // cache.pages_per_block
         lru = cache._lru
@@ -310,19 +227,19 @@ class TwoLevelController(MemoryController):
             cache_stats.hits += 1
             lru.move_to_end(block)
             if cte.in_ml2:
-                spans, total = self._ml2_fast(ppn, cte, now_ns)
+                spans, total = self._ml2(ppn, cte, now_ns)
                 path = PATH_ML2
             else:
-                total = self._dram_read_fast(
-                    self._data_address(ppn, block_index), now_ns)
-                spans = ((STAGE_DATA_FETCH, total, True, False, 0.0),)
+                total = self._dram_read(self._data_address(ppn, block_index),
+                                        now_ns)
+                spans = ((STAGE_DATA_FETCH, now_ns, total, True, False, 0.0),)
                 path = PATH_CTE_HIT
         else:
-            spans, total, path = self._translate_fast(ppn, cte, block_index,
-                                                      now_ns)
-            # cte_cache.fill(), inlined; re-check presence because the
+            spans, total, path = self._translate(ppn, cte, block_index,
+                                                 now_ns)
+            # CTECache.fill, inlined; re-check presence because the
             # eviction pump may have invalidated neighbours of ``block``
-            # during the pipeline side effects above.
+            # while the miss was served.
             if block in lru:
                 lru.move_to_end(block)
             else:
@@ -332,42 +249,53 @@ class TwoLevelController(MemoryController):
 
         if not cte.in_ml2 and not cte.is_incompressible:
             self.recency.on_access(ppn)
-        self._finish_fast(path, spans, total)
-        return total, path
+        self._finish(path, spans, total, ppn)
+        return total, path, spans
 
-    def _translate_fast(self, ppn: int, cte: PageCTE, block_index: int,
-                        now_ns: float):
-        """Serial CTE fetch then data; returns ``(spans, total_ns, path)``."""
+    def _translate(self, ppn: int, cte: PageCTE, block_index: int,
+                   now_ns: float):
+        """CTE-cache miss; returns ``(spans, total_ns, path)``.
+
+        The baseline fetches the CTE *serially* (Figure 8a): the data
+        access cannot start before the CTE arrives.  TMCC overrides this
+        with the parallel speculative fetch.
+        """
+        cte_lat = self._fetch_cte(ppn, now_ns)
+        cte_span = (STAGE_CTE_FETCH, now_ns, cte_lat, True, False, 0.0)
+        data_ns = now_ns + cte_lat
         if cte.in_ml2:
-            cte_lat = self._fetch_cte_fast(ppn, now_ns)
-            ml2_spans, ml2_total = self._ml2_fast(ppn, cte, now_ns + cte_lat)
-            spans = ((STAGE_CTE_FETCH, cte_lat, True, False, 0.0),) + ml2_spans
-            return spans, cte_lat + ml2_total, PATH_ML2
-        cte_lat = self._fetch_cte_fast(ppn, now_ns)
-        data_lat = self._dram_read_fast(
-            self._data_address(ppn, block_index), now_ns + cte_lat)
-        spans = ((STAGE_CTE_FETCH, cte_lat, True, False, 0.0),
-                 (STAGE_DATA_FETCH, data_lat, True, False, 0.0))
+            ml2_spans, ml2_total = self._ml2(ppn, cte, data_ns)
+            return (cte_span,) + ml2_spans, cte_lat + ml2_total, PATH_ML2
+        data_lat = self._dram_read(self._data_address(ppn, block_index),
+                                   data_ns)
+        spans = (cte_span,
+                 (STAGE_DATA_FETCH, data_ns, data_lat, True, False, 0.0))
         return spans, cte_lat + data_lat, PATH_SERIAL_NO_CTE
 
-    def _fetch_cte_fast(self, ppn: int, now_ns: float) -> float:
-        counters = self._fast_path_counters
-        counter = counters.get("cte_dram_fetches")
-        if counter is None:
-            counter = counters["cte_dram_fetches"] = self.stats.counter(
-                "cte_dram_fetches")
-        counter.value += 1
-        return self._dram_read_fast(
-            self._cte_address(ppn, CTE_SIZE_PAGE), now_ns, include_noc=False)
+    def _fetch_cte(self, ppn: int, now_ns: float) -> float:
+        self._count("cte_dram_fetches")
+        return self._dram_read(self._cte_address(ppn, CTE_SIZE_PAGE), now_ns,
+                               include_noc=False)
 
-    def _ml2_fast(self, ppn: int, cte: PageCTE, start_ns: float):
-        """ML2 service without the pipeline graph; ``(spans, total_ns)``.
+    # ------------------------------------------------------------------
+    # ML2 access: decompress + background migration to ML1
+    # ------------------------------------------------------------------
 
-        Side-effect order matches :meth:`_ml2_pipeline` evaluation: page
-        stream reserved with the first read, migration-buffer entry
-        claimed at the access's arrival time, migrate, then the eviction
-        pump.  The ``migrate`` stage is ``record=False`` in the slow
-        path, so it contributes no span here either.
+    def _ml2(self, ppn: int, cte: PageCTE, start_ns: float):
+        """Serve a block of an ML2 page from ``start_ns``; returns
+        ``(spans, total_ns)``:
+
+        ml2_read -> decompress -> migration_stall -> [migrate] -> evict
+        [-> emergency_evict, with resilience enabled]
+
+        The MC replies as soon as the needed block decompresses
+        (half-page latency); the full-page migration drains in the
+        background through the 8-entry buffer, whose occupancy is
+        reserved at the access's *arrival* time.  Migrating takes no
+        foreground time and records no stage.  Eviction normally runs
+        behind demand accesses and contributes zero foreground latency;
+        under the Section VI priority flip (free list below the critical
+        watermark) the demand access pays for it.
         """
         record = self._model.record_for(ppn)
         self.stats.counter("ml2_accesses").value += 1
@@ -376,84 +304,37 @@ class TwoLevelController(MemoryController):
         migration_ns = self._decompress_full_ns(record) + 64 * \
             self.dram.config.timing.burst_ns
         base_address = self._data_address(ppn, 0)
-        first_read = self._dram_read_fast(base_address, start_ns)
+        first_read = self._dram_read(base_address, start_ns)
         self.dram.stream(base_address, compressed_blocks - 1, start_ns)
+        # The buffer entry is claimed when the access arrives, not when
+        # decompression finishes.
         stall_ns = self.migration.reserve(start_ns, migration_ns).stall_ns
+        decompress_at = start_ns + first_read
+        stall_at = start_ns + (first_read + decompress_ns)
         total = first_read + decompress_ns + stall_ns
-        self._migrate_to_ml1(ppn, cte, start_ns + total)
-        eviction_ns = self._maybe_evict(start_ns + total)
+        evict_at = start_ns + total
+        self._migrate_to_ml1(ppn, cte, evict_at)
+        eviction_ns = self._maybe_evict(evict_at)
         if self.ml1_free.count < self.config.ml1_critical_watermark:
             self.stats.counter("priority_flips").value += 1
             evict_lat = eviction_ns
         else:
             evict_lat = 0.0
         spans = (
-            (STAGE_ML2_READ, first_read, True, False, 0.0),
-            (STAGE_DECOMPRESS, decompress_ns, True, False, 0.0),
-            (STAGE_MIGRATION_STALL, stall_ns, True, False, 0.0),
-            (STAGE_EVICT, evict_lat, True, False, 0.0),
+            (STAGE_ML2_READ, start_ns, first_read, True, False, 0.0),
+            (STAGE_DECOMPRESS, decompress_at, decompress_ns, True, False,
+             0.0),
+            (STAGE_MIGRATION_STALL, stall_at, stall_ns, True, False, 0.0),
+            (STAGE_EVICT, evict_at, evict_lat, True, False, 0.0),
         )
-        return spans, total + evict_lat
-
-    # ------------------------------------------------------------------
-    # ML2 access: decompress + background migration to ML1
-    # ------------------------------------------------------------------
-
-    def _ml2_pipeline(self, ppn: int, cte: PageCTE,
-                      now_ns: float) -> PipelineNode:
-        """The ML2 service pipeline, anchored at ``now_ns``:
-
-        ml2_read -> decompress -> migration_stall -> [migrate] -> evict
-
-        The MC replies as soon as the needed block decompresses
-        (half-page latency); the full-page migration drains in the
-        background through the 8-entry buffer, whose occupancy is
-        reserved at the access's *arrival* time.  Eviction normally runs
-        behind demand accesses and contributes zero foreground latency;
-        under the Section VI priority flip (free list below the critical
-        watermark) the demand access pays for it.
-        """
-        record = self._model.record_for(ppn)
-        self.stats.counter("ml2_accesses").increment()
-        compressed_blocks = -(-cte.compressed_size // BLOCK_SIZE)
-
-        def ml2_read(start_ns: float) -> float:
-            first_read = self._dram_read_ns(
-                self._data_address(ppn, 0), start_ns, include_noc=True
-            )
-            self.dram.stream(self._data_address(ppn, 0),
-                             compressed_blocks - 1, start_ns)
-            return first_read
-
-        migration_ns = self._decompress_full_ns(record) + 64 * \
-            self.dram.config.timing.burst_ns
-
-        def migration_stall(_start_ns: float) -> float:
-            # The buffer entry is claimed when the access arrives, not
-            # when decompression finishes.
-            return self.migration.reserve(now_ns, migration_ns).stall_ns
-
-        def migrate(start_ns: float) -> float:
-            self._migrate_to_ml1(ppn, cte, start_ns)
-            return 0.0
-
-        def evict(start_ns: float) -> float:
-            eviction_ns = self._maybe_evict(start_ns)
-            if self.ml1_free.count < self.config.ml1_critical_watermark:
-                self.stats.counter("priority_flips").increment()
-                return eviction_ns
-            return 0.0
-
-        stages = [
-            Stage(STAGE_ML2_READ, ml2_read),
-            Stage(STAGE_DECOMPRESS, self._decompress_half_ns(record)),
-            Stage(STAGE_MIGRATION_STALL, migration_stall),
-            Stage(STAGE_MIGRATE, migrate, record=False),
-            Stage(STAGE_EVICT, evict),
-        ]
+        total += evict_lat
         if self.resilience.enabled:
-            stages.append(Stage(STAGE_EMERGENCY_EVICT, self._emergency_evict))
-        return serial(*stages)
+            emergency_at = start_ns + total
+            emergency_ns = self._emergency_evict(emergency_at)
+            spans += ((STAGE_EMERGENCY_EVICT, emergency_at, emergency_ns,
+                       True, False, 0.0),)
+            total += emergency_ns
+        return spans, total
 
     def _emergency_evict(self, start_ns: float) -> float:
         """Capacity-pressure watchdog (resilience-enabled runs only).

@@ -58,23 +58,11 @@ class _Bank:
     last_ns: float = 0.0
     backlog_ns: float = 0.0
 
-    def occupy(self, now_ns: float, service_ns: float) -> float:
-        """Charge ``service_ns`` of bank time; returns the wait."""
-        if now_ns > self.last_ns:
-            self.backlog_ns = max(0.0, self.backlog_ns - (now_ns - self.last_ns))
-            self.last_ns = now_ns
-        wait = self.backlog_ns
-        self.backlog_ns += service_ns
-        return wait
-
 
 @dataclass(frozen=True, slots=True)
 class ReadResult:
-    """Latency breakdown of one 64 B read.
-
-    The breakdown fields let access-pipeline stages tag where a read's
-    time went (queueing vs bank access) instead of only its total.
-    """
+    """Latency breakdown of one 64 B read: where its time went
+    (channel queueing vs bank access) besides the total."""
 
     latency_ns: float
     queue_ns: float
@@ -82,17 +70,6 @@ class ReadResult:
     row_hit: bool
     mc: int
     channel: int
-
-
-@dataclass(frozen=True, slots=True)
-class StreamResult:
-    """Bus-occupancy record of one multi-block sequential transfer."""
-
-    occupancy_ns: float
-    queue_ns: float
-    num_blocks: int
-    channel: int
-    is_write: bool
 
 
 class DRAMSystem:
@@ -115,16 +92,19 @@ class DRAMSystem:
         ]
         self.stats = StatGroup("dram")
         #: With one MC and one channel the interleave route is the
-        #: identity, so the fast read skips address decomposition.
+        #: identity, so reads skip address decomposition.
         self._single_channel = total_channels == 1
         #: Bound per-channel busy counters and read stats, filled lazily so
         #: stat keys only exist once the matching request type happened.
         self._busy_counters: Dict[int, Counter] = {}
         self._read_stats: Optional[Tuple[Counter, RatioStat, Histogram]] = None
-        #: Timing constants the fast read re-derives per call otherwise;
-        #: snapshotted lazily (first fast read) so late config tweaks
-        #: before the first access still take effect.
+        #: Timing constants read_ns re-derives per call otherwise;
+        #: snapshotted lazily (first read) so late config tweaks before
+        #: the first access still take effect.
         self._read_consts: Optional[tuple] = None
+        #: (queue_ns, bank_ns, row_hit, channel) of the latest read, for
+        #: :meth:`read`'s breakdown.
+        self._last_read: Optional[tuple] = None
 
     def _bank_at(self, channel_index: int, bank_key: Tuple[int, int]) -> _Bank:
         """Get-or-create without ``setdefault`` (which would allocate a
@@ -179,58 +159,22 @@ class DRAMSystem:
     # ------------------------------------------------------------------
 
     def read(self, address: int, now_ns: float) -> ReadResult:
-        """Serve a 64 B read issued at ``now_ns``; returns its latency."""
-        config = self.config
-        timing = config.timing
-        mc, channel_index, local = self._route(address)
-        bank_key, row = self._bank_and_row(local)
-        bank = self._bank_at(channel_index, bank_key)
-
-        # Row-buffer outcome, including the FR-FCFS row-access cap.
-        if bank.open_row == row and bank.consecutive_hits < config.row_cap:
-            bank_ns = timing.row_hit_ns
-            bank.consecutive_hits += 1
-            row_hit = True
-        elif bank.open_row == -1:
-            bank_ns = timing.row_closed_ns
-            bank.consecutive_hits = 1
-            row_hit = False
-        else:
-            bank_ns = timing.row_conflict_ns
-            bank.consecutive_hits = 1
-            row_hit = False
-        bank.open_row = row
-
-        queue_ns = self._enqueue(channel_index, now_ns, timing.burst_ns)
-        bank_wait = bank.occupy(now_ns, bank_ns)
-        latency = queue_ns + bank_wait + bank_ns + timing.noc_ns
-
-        self._record_read(channel_index, latency, row_hit,
-                          int(timing.burst_ns * 1000))
-        return ReadResult(latency, queue_ns, bank_ns, row_hit, mc, channel_index)
-
-    def _record_read(self, channel_index: int, latency: float, row_hit: bool,
-                     busy_m: int) -> None:
-        stats = self._read_stats
-        if stats is None:
-            stats = self._read_stats = (
-                self.stats.counter("reads"),
-                self.stats.ratio("row_buffer"),
-                self.stats.histogram("read_latency_ns"),
-            )
-        reads, row_buffer, latency_hist = stats
-        reads.value += 1
-        row_buffer.total += 1
-        if row_hit:
-            row_buffer.hits += 1
-        latency_hist.samples.append(latency)
-        self._busy_counter(channel_index).value += busy_m
+        """Serve a 64 B read issued at ``now_ns``; returns its latency
+        with the queueing / bank-access breakdown."""
+        latency = self.read_ns(address, now_ns)
+        queue_ns, bank_ns, row_hit, channel_index = self._last_read
+        return ReadResult(latency, queue_ns, bank_ns, row_hit,
+                          channel_index // self.config.channels_per_mc,
+                          channel_index)
 
     def read_ns(self, address: int, now_ns: float) -> float:
-        """Zero-observer fast read: identical bank/queue/stat updates to
-        :meth:`read`, but returns only the total latency and allocates no
-        :class:`ReadResult`.  Must stay metric-identical to :meth:`read`
-        (see ``docs/performance.md``)."""
+        """Serve a 64 B read issued at ``now_ns``; returns its latency.
+
+        Row-buffer outcome (with the FR-FCFS row-access cap), channel bus
+        queueing, and bank serialization, each as a decaying backlog.
+        The controllers call this once per DRAM access; :meth:`read`
+        adds the breakdown.
+        """
         consts = self._read_consts
         if consts is None:
             config = self.config
@@ -289,8 +233,8 @@ class DRAMSystem:
         bank.backlog_ns = bank_wait + bank_ns
 
         latency = queue_ns + bank_wait + bank_ns + noc_ns
+        self._last_read = (queue_ns, bank_ns, row_hit, channel_index)
 
-        # _record_read, inlined (one call per LLC miss adds up).
         stats = self._read_stats
         if stats is None:
             stats = self._read_stats = (
@@ -334,7 +278,7 @@ class DRAMSystem:
     # ------------------------------------------------------------------
 
     def stream(self, address: int, num_blocks: int, now_ns: float,
-               is_write: bool = False) -> StreamResult:
+               is_write: bool = False) -> None:
         """Account bus occupancy for a multi-block sequential transfer.
 
         Page migrations and compressed-page reads move dozens of blocks;
@@ -342,19 +286,15 @@ class DRAMSystem:
         migration buffer), so here we only charge the data-bus time --
         respecting the paper's cap of at most 10 queue slots for
         page-granularity transfers by spreading them behind demand reads.
-        The returned :class:`StreamResult` carries the occupancy so
-        pipeline stages can tag background bus work.
         """
         if num_blocks <= 0:
-            return StreamResult(0.0, 0.0, 0, -1, is_write)
+            return
         _, channel_index, _ = self._route(address)
         occupancy = self.config.timing.burst_ns * num_blocks
-        queue_ns = self._enqueue(channel_index, now_ns, occupancy)
+        self._enqueue(channel_index, now_ns, occupancy)
         counter = "stream_writes" if is_write else "stream_reads"
         self.stats.counter(counter).increment(num_blocks)
         self._busy_counter(channel_index).value += int(occupancy * 1000)
-        return StreamResult(occupancy, queue_ns, num_blocks, channel_index,
-                            is_write)
 
     # ------------------------------------------------------------------
     # Reporting

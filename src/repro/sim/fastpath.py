@@ -9,16 +9,18 @@ per-access object graph (``AccessResult``, ``MissResult``,
 
 * the trace is preprocessed column-wise (vpn / TLB tag / block index
   arrays via numpy when available);
-* TLB lookup/fill and the cache hierarchy run through inlined or
-  allocation-free twins (``CacheHierarchy.access_fast``,
-  ``MemoryController.serve_l3_miss_fast``);
+* the TLB and the L1 probe are inlined and batched; everything below
+  runs through the same allocation-free entry points the observed loop
+  wraps (``CacheHierarchy.access_fast``/``access_fast_miss``,
+  ``MemoryController.serve_l3_miss_fast``), so the miss path has one
+  definition;
 * every invariant attribute lookup is hoisted out of the loop into a
   bound local, and cache-level latencies are precomputed per hit level.
 
 Eligibility is gated by ``Simulator.fast_path_eligible`` (no tracer,
 timeseries recorder, profiler, fault injector, supervisor, bus
-subscriber, resilience, or virtualization).  The ``--emit-json``
-byte-equality golden (fast on vs off, all controllers) pins the
+subscriber, or virtualization).  The frozen ``--emit-json`` goldens
+(``tests/sim/goldens``) and the fast-vs-slow comparison pin the
 contract: if the two loops ever diverge observably, that is a bug in
 this module.
 """
@@ -264,7 +266,7 @@ def run_fast(sim, state) -> None:
                                     stall += lat[hit_level]
                                     if hit_level == 3:
                                         l3_data_misses += 1
-                                        latency, path = serve_fast(
+                                        latency, path, _ = serve_fast(
                                             block >> 6, block & 63,
                                             now + stall, is_write)
                                         stall += latency
@@ -328,7 +330,7 @@ def run_fast(sim, state) -> None:
                                                 True, writebacks)
                         stall += lat[hit_level]
                         if hit_level == 3:
-                            latency, path = serve_fast(
+                            latency, path, _ = serve_fast(
                                 ptb_address >> 12, (ptb_address >> 6) & 63,
                                 now + stall, False)
                             stall += latency
@@ -376,7 +378,7 @@ def run_fast(sim, state) -> None:
                     stall += lat[hit_level]
                     if hit_level == 3:
                         l3_data_misses += 1
-                        latency, path = serve_fast(block >> 6, block & 63,
+                        latency, path, _ = serve_fast(block >> 6, block & 63,
                                                    now + stall, is_write)
                         stall += latency
                         if path != PATH_CTE_HIT:

@@ -56,17 +56,21 @@ class EventBus:
     def __init__(self) -> None:
         self._by_kind: Dict[str, List[Callable[[Event], None]]] = {}
         self._all: List[Callable[[Event], None]] = []
+        #: True when at least one subscriber exists.  A plain attribute
+        #: (kept in sync by every mutator) because the miss service
+        #: checks it once per LLC miss.
+        self.active = False
 
-    @property
-    def active(self) -> bool:
-        """True when at least one subscriber exists."""
-        return bool(self._all or self._by_kind)
+    def _sync(self) -> None:
+        self.active = bool(self._all or self._by_kind)
 
     def subscribe(self, kind: str, handler: Callable[[Event], None]) -> None:
         self._by_kind.setdefault(kind, []).append(handler)
+        self.active = True
 
     def subscribe_all(self, handler: Callable[[Event], None]) -> None:
         self._all.append(handler)
+        self.active = True
 
     def unsubscribe(self, handler: Callable[[Event], None],
                     kind: Optional[str] = None) -> bool:
@@ -86,6 +90,7 @@ class EventBus:
                 removed = True
             if not handlers:
                 self._by_kind.pop(kind, None)
+            self._sync()
             return removed
         if handler in self._all:
             self._all.remove(handler)
@@ -97,12 +102,14 @@ class EventBus:
                 removed = True
             if not handlers:
                 del self._by_kind[name]
+        self._sync()
         return removed
 
     def unsubscribe_all(self) -> None:
         """Drop every subscriber (ends a ``--trace-events`` capture)."""
         self._by_kind.clear()
         self._all.clear()
+        self.active = False
 
     #: Alias: ``clear()`` reads better at the end of a capture session.
     clear = unsubscribe_all
@@ -117,13 +124,15 @@ class EventBus:
         saved = (self._by_kind, self._all)
         self._by_kind = {}
         self._all = []
+        self.active = False
         return saved
 
     def restore_subscribers(self, saved: tuple) -> None:
         self._by_kind, self._all = saved
+        self._sync()
 
     def publish(self, kind: str, time_ns: float, **payload: object) -> None:
-        if not (self._all or self._by_kind):
+        if not self.active:
             return
         handlers = self._by_kind.get(kind)
         if not handlers and not self._all:

@@ -349,13 +349,14 @@ class Simulator:
         The zero-observer loop (:mod:`repro.sim.fastpath`) elides the
         per-access object graph and every instrumentation hook; it is
         only sound when nothing is listening and nothing perturbs the
-        replay (fault injection, resilience retries, nested walks).
+        replay from outside (fault injection, nested walks).  Both loops
+        serve LLC misses through the same controller code, so resilience
+        mode alone does not force the observed loop.
         """
         return (self.tracer is None
                 and self.timeseries is None
                 and self.context.profiler is None
                 and self._fault_injector is None
-                and not self.controller.resilience.enabled
                 and not self.context.bus.active
                 and not self.virtualized)
 
@@ -395,8 +396,7 @@ class Simulator:
             raise ConfigError(
                 "fast_path='on' requires a zero-observer run: no tracer, "
                 "timeseries recorder, profiler, fault injector, run "
-                "supervisor, bus subscriber, resilience mode, or "
-                "virtualization"
+                "supervisor, bus subscriber, or virtualization"
             )
 
         try:
@@ -463,10 +463,9 @@ class Simulator:
 
     def _one_access(self, vaddr: int, is_write: bool) -> float:
         """Serve one trace record; returns the access's stall time (ns)."""
-        config = self.system
         bus = self.context.bus
         tracer = self.tracer
-        vpn, tag, block_index = decompose_vaddr(vaddr, self.huge_pages)
+        vpn, tag, _ = decompose_vaddr(vaddr, self.huge_pages)
         stall_ns = 0.0
         tlb_missed = not self.tlb.lookup(tag)
 
@@ -490,42 +489,54 @@ class Simulator:
         if ppn is None:
             return stall_ns
         paddr = ppn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1))
-        result = self.hierarchy.access(paddr, is_write=is_write)
-        stall_ns += config.cycles_to_ns(result.latency_cycles)
+        return self._access_block(paddr, is_write, stall_ns, "data",
+                                  after_tlb=tlb_missed)
+
+    def _access_block(self, address: int, is_write: bool, stall_ns: float,
+                      kind: str, level: int = -1,
+                      after_tlb: bool = True) -> float:
+        """One block access through the caches and, on an LLC miss, the
+        controller; returns ``stall_ns`` plus the access's stall.
+
+        ``kind`` is ``"data"`` for demand accesses, else the page-table
+        fetch kind (``"ptb"``, ``"ptb_host"``, ``"ptb_guest"``) at
+        ``level``.  Dirty LLC victims drain once the access completes.
+        """
+        is_ptb = kind != "data"
+        result = self.hierarchy.access(address, is_write, is_ptb)
+        stall_ns += self.system.cycles_to_ns(result.latency_cycles)
         if result.l3_miss:
-            self._l3_data_misses += 1
+            if not is_ptb:
+                self._l3_data_misses += 1
+            ppn = address >> 12
             miss = self.controller.serve_l3_miss(
-                ppn, block_index, self.clock.now_ns + stall_ns, is_write
-            )
+                ppn, (address >> 6) & 63, self.clock.now_ns + stall_ns,
+                is_write)
             stall_ns += miss.latency_ns
-            self._trace_miss(miss, kind="data", ppn=ppn)
-            self._track_fig5(miss.path, after_tlb=tlb_missed)
-        self._drain_writebacks(result.dram_writebacks, stall_ns)
+            self._trace_miss(miss, kind, ppn, level)
+            # Every path but a CTE-cache hit missed the CTE cache (ML2
+            # accesses included); Figure 5 counts those after a TLB miss.
+            if miss.path != PATH_CTE_HIT:
+                self._fig5_cte_misses += 1
+                if after_tlb:
+                    self._fig5_after_tlb += 1
+        drain_ns = self.clock.now_ns + stall_ns
+        for block in result.dram_writebacks:
+            self.controller.serve_writeback(block >> 6, block & 63, drain_ns)
         return stall_ns
 
     def _page_walk(self, vpn: int) -> float:
         """Serve a TLB miss; returns its stall contribution."""
         if self.virtualized:
             return self._nested_page_walk(vpn)
-        config = self.system
         stall_ns = 0.0
         try:
             walk = self.walker.walk(vpn)
         except KeyError:
             return 0.0
         for level, ptb_address in walk.fetches:
-            result = self.hierarchy.access(ptb_address, is_ptb=True)
-            stall_ns += config.cycles_to_ns(result.latency_cycles)
-            if result.l3_miss:
-                miss = self.controller.serve_l3_miss(
-                    ptb_address >> 12, (ptb_address >> 6) & 63,
-                    self.clock.now_ns + stall_ns, False,
-                )
-                stall_ns += miss.latency_ns
-                self._trace_miss(miss, kind="ptb", ppn=ptb_address >> 12,
-                                 level=level)
-                self._track_fig5(miss.path, after_tlb=True)
-            self._drain_writebacks(result.dram_writebacks, stall_ns)
+            stall_ns = self._access_block(ptb_address, False, stall_ns, "ptb",
+                                          level)
             huge_leaf = walk.huge and level == 2
             self.controller.note_ptb_fetch(
                 level, ptb_address, self.table.ptb_at(ptb_address), huge_leaf
@@ -541,25 +552,14 @@ class Simulator:
         """
         from repro.vm.nested import HOST_FETCH
 
-        config = self.system
         stall_ns = 0.0
         try:
             walk = self.nested_walker.walk(vpn)
         except KeyError:
             return 0.0
         for kind, level, address in walk.fetches:
-            result = self.hierarchy.access(address, is_ptb=True)
-            stall_ns += config.cycles_to_ns(result.latency_cycles)
-            if result.l3_miss:
-                miss = self.controller.serve_l3_miss(
-                    address >> 12, (address >> 6) & 63,
-                    self.clock.now_ns + stall_ns, False,
-                )
-                stall_ns += miss.latency_ns
-                self._trace_miss(miss, kind=f"ptb_{kind}",
-                                 ppn=address >> 12, level=level)
-                self._track_fig5(miss.path, after_tlb=True)
-            self._drain_writebacks(result.dram_writebacks, stall_ns)
+            stall_ns = self._access_block(address, False, stall_ns,
+                                          f"ptb_{kind}", level)
             if kind == HOST_FETCH:
                 self.controller.note_ptb_fetch(
                     level, address, self.host_table.ptb_at(address),
@@ -567,8 +567,7 @@ class Simulator:
                 )
         return stall_ns
 
-    def _trace_miss(self, miss, kind: str, ppn: int,
-                    level: int = -1) -> None:
+    def _trace_miss(self, miss, kind: str, ppn: int, level: int) -> None:
         """Promote a served miss's pipeline timeline into the open trace."""
         tracer = self.tracer
         if tracer is None or not tracer.active or miss.timeline is None:
@@ -578,21 +577,6 @@ class Simulator:
         if level >= 0:
             args["level"] = level
         tracer.add_timeline("llc_miss", miss.timeline, **args)
-
-    def _drain_writebacks(self, blocks, stall_ns: float) -> None:
-        for block in blocks:
-            self.controller.serve_writeback(
-                block >> 6, block & 63, self.clock.now_ns + stall_ns
-            )
-
-    def _track_fig5(self, path: str, after_tlb: bool) -> None:
-        if path in (PATH_CTE_HIT,):
-            return
-        # PATH_ML2 accesses also consulted the CTE path; only count real
-        # CTE-cache misses, which every non-hit path represents.
-        self._fig5_cte_misses += 1
-        if after_tlb:
-            self._fig5_after_tlb += 1
 
     # ------------------------------------------------------------------
     # Statistics plumbing

@@ -48,7 +48,7 @@ def test_path_fractions_sum_to_one(system, graph_model):
     controller, ppns = build(system, graph_model)
     for path in (PATH_CTE_HIT, PATH_CTE_HIT, PATH_PARALLEL_OK,
                  PATH_PARALLEL_MISMATCH, PATH_SERIAL_NO_CTE, PATH_ML2):
-        controller._record_path(path)
+        controller._count(f"path_{path}")
     fractions = controller.path_fractions()
     assert sum(fractions.values()) == pytest.approx(1.0)
     assert fractions[PATH_CTE_HIT] == pytest.approx(2 / 6)

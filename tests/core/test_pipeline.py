@@ -1,21 +1,14 @@
-"""Unit and property tests for the access-pipeline latency algebra."""
+"""Unit and property tests for the latency algebra (the timeline spec in
+``tests/oracles/pipeline.py``) and for stage accounting."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.pipeline import (
-    STAGE_CTE_FETCH,
-    STAGE_DATA_FETCH,
-    Stage,
-    StageAccounting,
-    cond,
-    defer,
-    evaluate,
-    parallel,
-    serial,
-)
+from repro.common.stats import StatGroup
+from repro.core.pipeline import STAGE_CTE_FETCH, STAGE_DATA_FETCH, StageAccounting
+from tests.oracles.pipeline import Stage, cond, defer, evaluate, parallel, serial
 
 #: Non-negative stage latencies with fp values a DRAM model would emit.
 latencies = st.floats(min_value=0.0, max_value=1e6,
@@ -181,11 +174,19 @@ def test_validation():
 # ----------------------------------------------------------------------
 
 
+def span_tuples(timeline):
+    """A timeline as the controllers' span tuples."""
+    return [(s.name, s.start_ns, s.latency_ns, s.critical, s.wasted,
+             s.slack_ns) for s in timeline.spans]
+
+
 def test_accounting_shares_sum_to_one():
-    acct = StageAccounting()
-    acct.record("serial", evaluate(serial(Stage(STAGE_CTE_FETCH, 20.0),
-                                          Stage(STAGE_DATA_FETCH, 30.0))))
-    acct.record("hit", evaluate(Stage(STAGE_DATA_FETCH, 50.0)))
+    acct = StageAccounting(StatGroup("stage"))
+    serial_miss = evaluate(serial(Stage(STAGE_CTE_FETCH, 20.0),
+                                  Stage(STAGE_DATA_FETCH, 30.0)))
+    acct.record("serial", span_tuples(serial_miss), serial_miss.total_ns)
+    hit = evaluate(Stage(STAGE_DATA_FETCH, 50.0))
+    acct.record("hit", span_tuples(hit), hit.total_ns)
     rows = acct.breakdown()
     assert math.isclose(sum(row["share"] for row in rows), 1.0)
     assert acct.grand_total_ns() == 100.0
@@ -193,6 +194,7 @@ def test_accounting_shares_sum_to_one():
     metrics = acct()
     assert metrics["serial.cte_fetch.mean_ns"] == 20.0
     assert metrics["hit.count"] == 1
+    assert acct.histograms.histogram("data_fetch.ns").count == 2
     acct.reset()
     assert acct.breakdown() == []
     assert acct() == {}

@@ -1,10 +1,9 @@
-"""Golden-latency regression for the access-pipeline refactor.
+"""Golden-latency regression for the controllers' miss paths.
 
-The pipeline algebra replaced hand-written latency arithmetic in every
-controller's miss path; these goldens pin the refactor to **bit-identical**
-per-access latencies (captured on the pre-pipeline code for a fixed
-trace/seed).  Totals are compared by ``repr`` so any fp re-association
-sneaking into the algebra fails loudly rather than rounding away.
+Every refactor of the miss service is pinned to **bit-identical**
+per-access latencies captured for a fixed trace/seed.  Totals are
+compared by ``repr`` so any fp re-association fails loudly rather than
+rounding away.
 """
 
 import pytest

@@ -136,6 +136,23 @@ def test_stats_and_bandwidth():
     assert dram.bandwidth_utilization(0) == 0.0
 
 
+@pytest.mark.parametrize("channels", [1, 2])
+def test_read_is_read_ns_plus_breakdown(channels):
+    """``read`` serves exactly the request ``read_ns`` does (same latency,
+    same bank/queue/stat evolution) and adds where the time went."""
+    config = DRAMConfig(channels_per_mc=channels)
+    plain, explained = DRAMSystem(config), DRAMSystem(config)
+    for i in range(64):
+        address, now = (i * 4160) % (1 << 24), i * 7.5
+        latency = plain.read_ns(address, now)
+        result = explained.read(address, now)
+        assert result.latency_ns == latency
+        assert result.queue_ns >= 0.0 and result.bank_ns > 0.0
+        mc, channel, _ = explained._route(address)
+        assert (result.mc, result.channel) == (mc, channel)
+    assert plain.stats.as_dict() == explained.stats.as_dict()
+
+
 def test_multi_channel_parallelism():
     """Two channels absorb a burst better than one."""
     def burst_total(channels):

@@ -57,6 +57,21 @@ def test_budgeted_tmcc_exercises_ml2_and_stays_identical(small_workload):
     assert record["metrics"]["controller.ml2_accesses"] > 0
 
 
+def test_resilience_mode_takes_the_fast_loop(small_workload):
+    """Retries and emergency evictions live in the shared miss service,
+    so resilience alone does not force the observed loop."""
+    sim = Simulator(small_workload, controller="tmcc", seed=3,
+                    resilience=True)
+    assert sim.fast_path_eligible()
+    budget = run_workload(small_workload, "compresso", seed=3).dram_used_bytes
+    runs = [Simulator(small_workload, controller="tmcc", seed=3,
+                      dram_budget_bytes=budget, resilience=True,
+                      fast_path=mode).run().as_dict()
+            for mode in ("on", "off")]
+    assert runs[0] == runs[1]
+    assert runs[0]["metrics"]["controller.stage.emergency_evict.ns.count"] > 0
+
+
 def test_fast_path_on_rejects_observers(small_workload):
     sim = Simulator(small_workload, controller="uncompressed",
                     fast_path="on")

@@ -94,6 +94,19 @@ def test_bus_clear_is_unsubscribe_all():
     assert not bus.active
 
 
+def test_bus_detach_and_restore_track_activity():
+    bus = EventBus()
+    seen = []
+    bus.subscribe("a", seen.append)
+    saved = bus.detach_subscribers()
+    assert not bus.active
+    bus.publish("a", 1.0)
+    bus.restore_subscribers(saved)
+    assert bus.active
+    bus.publish("a", 2.0)
+    assert [e.time_ns for e in seen] == [2.0]
+
+
 def test_bus_no_subscriber_publish_builds_no_event(monkeypatch):
     """With no subscribers, publish must return before constructing Event."""
     import repro.sim.instrument as instrument

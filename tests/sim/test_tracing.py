@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.pipeline import Stage, evaluate, parallel, serial
+from tests.oracles.pipeline import Stage, evaluate, parallel, serial
 from repro.sim.instrument import EventBus
 from repro.sim.tracing import (
     CATEGORY_MISS,

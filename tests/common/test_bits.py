@@ -133,3 +133,46 @@ def test_writer_reader_roundtrip_property(fields):
 def test_extract_insert_inverse_property(value, low, width):
     field = extract_bits(value, low, width)
     assert insert_bits(value, low, width, field) == value
+
+
+def _reference_stream(fields):
+    """Bit-by-bit MSB-first packing: the spec :class:`BitWriter` meets."""
+    bits = []
+    for value, width in fields:
+        bits.extend((value >> (width - 1 - i)) & 1 for i in range(width))
+    padded = bits + [0] * (-len(bits) % 8)
+    out = bytearray()
+    for start in range(0, len(padded), 8):
+        byte = 0
+        for bit in padded[start:start + 8]:
+            byte = (byte << 1) | bit
+        out.append(byte)
+    return bytes(out), len(bits)
+
+
+#: Widths on both sides of the writer's whole-byte flush threshold.
+_WIDTHS = st.one_of(st.just(0), st.integers(min_value=1, max_value=63),
+                    st.just(64), st.integers(min_value=65, max_value=200))
+
+
+@given(st.lists(_WIDTHS.flatmap(lambda width: st.tuples(
+    st.integers(min_value=0, max_value=(1 << width) - 1), st.just(width))),
+    max_size=48))
+def test_writer_matches_bitwise_reference(fields):
+    writer = BitWriter()
+    for count, (value, width) in enumerate(fields, 1):
+        writer.write(value, width)
+        assert writer.bit_length == _reference_stream(fields[:count])[1]
+    assert writer.getvalue() == _reference_stream(fields)[0]
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 130])
+def test_writer_rejects_values_wider_than_width(width):
+    writer = BitWriter()
+    writer.write((1 << width) - 1, width)
+    with pytest.raises(ValueError):
+        writer.write(1 << width, width)
+    with pytest.raises(ValueError):
+        writer.write(-1, width)
+    with pytest.raises(ValueError):
+        writer.write(0, -1)

@@ -115,14 +115,7 @@ def run_suite(
     suite_start = time.perf_counter()
     for name in workloads:
         workload = workload_by_name(name, max_accesses=accesses)
-        model = PageCompressionModel(
-            workload.content,
-            sample_pages=system.compression_samples,
-            deflate_config=system.deflate,
-            timing=system.deflate_timing,
-            ibm=system.ibm_timing,
-            seed=seed,
-        )
+        model = PageCompressionModel.for_system(workload.content, system, seed)
         budget = None
         for controller in BENCH_CONTROLLERS:
             start = time.perf_counter()

@@ -73,11 +73,12 @@ class SetAssociativeCache:
         self._is_ptb = bytearray(slots)
         #: Per-set recency order: slot ids, LRU first, MRU last.
         self._orders: List[List[int]] = [[] for _ in range(self.num_sets)]
-        #: Per-set free-slot stacks (lowest slot allocated first).
-        assoc = associativity
+        #: Per-set free-slot stacks (lowest slot allocated first), cut
+        #: from one descending list of every slot, last set first.
+        descending = list(range(slots - 1, -1, -1))
         self._free: List[List[int]] = [
-            list(range((s + 1) * assoc - 1, s * assoc - 1, -1))
-            for s in range(self.num_sets)
+            descending[start : start + associativity]
+            for start in range(slots - associativity, -1, -associativity)
         ]
         self.stats = RatioStat(name)
 

@@ -58,19 +58,18 @@ class BitWriter:
             raise ValueError(f"value {value:#x} does not fit in {width} bits")
         accumulator = (self._accumulator << width) | value
         pending = self._pending_bits + width
-        if pending >= 8:
-            buffer = self._buffer
-            while pending >= 8:
-                pending -= 8
-                buffer.append((accumulator >> pending) & 0xFF)
-            accumulator &= (1 << pending) - 1
+        if pending >= 64:
+            # Flush every whole byte at once; at most 7 bits stay pending.
+            keep = pending & 7
+            self._buffer += (accumulator >> keep).to_bytes(pending >> 3, "big")
+            accumulator &= (1 << keep) - 1
+            pending = keep
         self._accumulator = accumulator
         self._pending_bits = pending
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes (each written as an 8-bit code)."""
-        for byte in data:
-            self.write(byte, 8)
+        self.write(int.from_bytes(data, "big"), 8 * len(data))
 
     @property
     def bit_length(self) -> int:
@@ -79,10 +78,10 @@ class BitWriter:
 
     def getvalue(self) -> bytes:
         """Return the stream padded with zero bits to a whole byte."""
-        result = bytearray(self._buffer)
-        if self._pending_bits:
-            result.append((self._accumulator << (8 - self._pending_bits)) & 0xFF)
-        return bytes(result)
+        pending = self._pending_bits
+        tail_bytes = (pending + 7) >> 3
+        tail = self._accumulator << (8 * tail_bytes - pending)
+        return bytes(self._buffer) + tail.to_bytes(tail_bytes, "big")
 
 
 class BitReader:

@@ -82,7 +82,7 @@ class DeflateCodec:
             raise ValueError("deflate pages are at most 64 KiB - 1")
         tokens = self._lz.tokenize(page)
         lz_stream = self._lz.serialize(tokens)
-        lz_stats = self._stats_from(page, lz_stream, tokens)
+        lz_stats = LZStats.from_tokens(len(page), len(lz_stream), tokens)
         huffman_blob = self._huffman.encode(lz_stream)
         use_huffman = not (
             self.config.dynamic_huffman_skip and len(huffman_blob) >= len(lz_stream)
@@ -110,18 +110,6 @@ class DeflateCodec:
     def ratio(self, page: bytes) -> float:
         """Compression ratio (original / compressed) of one page."""
         return self.compress(page).ratio
-
-    @staticmethod
-    def _stats_from(page: bytes, lz_stream: bytes, tokens) -> LZStats:
-        stats = LZStats(input_bytes=len(page), output_bytes=len(lz_stream))
-        for token in tokens:
-            stats.token_count += 1
-            stats.literal_bytes += len(token.literals)
-            if token.match_length:
-                stats.match_count += 1
-                stats.matched_bytes += token.match_length
-                stats.match_lengths.append(token.match_length)
-        return stats
 
 
 @dataclass(frozen=True)

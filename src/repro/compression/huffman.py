@@ -108,6 +108,21 @@ def _canonical_codes(lengths: Dict[int, int]) -> Dict[int, Tuple[int, int]]:
     return codes
 
 
+def _payload_bits(data: bytes, codes: Dict[int, Tuple[int, int]]) -> str:
+    """The reduced tree's payload for ``data`` as a '0'/'1' string.
+
+    A 256-entry table maps each byte to its code, or to the escape code
+    followed by the raw byte when the byte has no leaf.
+    """
+    escape_code, escape_length = codes[ESCAPE]
+    width = escape_length + 8
+    table = [format((escape_code << 8) | byte, f"0{width}b") for byte in range(256)]
+    for symbol, (code, length) in codes.items():
+        if symbol != ESCAPE:
+            table[symbol] = format(code, f"0{length}b")
+    return "".join(map(table.__getitem__, data))
+
+
 class ReducedHuffmanCodec:
     """The paper's 16-leaf Huffman with escape coding and a plain-text tree.
 
@@ -193,14 +208,8 @@ class ReducedHuffmanCodec:
         for symbol in real_leaves:
             writer.write(symbol, 8)
             writer.write(lengths[symbol], 4)
-        escape_code, escape_length = codes[ESCAPE]
-        for byte in data:
-            if byte in codes:
-                code, length = codes[byte]
-                writer.write(code, length)
-            else:
-                writer.write(escape_code, escape_length)
-                writer.write(byte, 8)
+        payload = _payload_bits(data, codes)
+        writer.write(int(payload, 2), len(payload))
         return writer.getvalue()
 
     def decode(self, blob: bytes) -> bytes:
@@ -244,16 +253,8 @@ class ReducedHuffmanCodec:
         if not data:
             return 28
         lengths = self.build_lengths(data)
-        codes = _canonical_codes(lengths)
-        escape_length = lengths[ESCAPE]
         header = 16 + 12 + 12 * (len(lengths) - 1)
-        payload = 0
-        for byte in data:
-            if byte in codes:
-                payload += codes[byte][1]
-            else:
-                payload += escape_length + 8
-        return header + payload
+        return header + len(_payload_bits(data, _canonical_codes(lengths)))
 
 
 class FullHuffmanCodec:

@@ -35,6 +35,10 @@ MIN_MATCH = 4
 #: Longest match encodable without pathological extension chains.
 MAX_MATCH = 4096
 
+#: Bytes compared per slice while extending a match, before the
+#: byte-by-byte tail.
+_COMPARE_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class LZConfig:
@@ -85,6 +89,23 @@ class LZStats:
     token_count: int = 0
     match_lengths: List[int] = field(default_factory=list)
 
+    @classmethod
+    def from_tokens(cls, input_bytes: int, output_bytes: int,
+                    tokens: List[LZToken]) -> "LZStats":
+        """Statistics of ``tokens``, which encode ``input_bytes`` of input
+        as an ``output_bytes``-long stream."""
+        match_lengths = [token.match_length for token in tokens
+                         if token.match_length]
+        return cls(
+            input_bytes=input_bytes,
+            output_bytes=output_bytes,
+            literal_bytes=sum(len(token.literals) for token in tokens),
+            match_count=len(match_lengths),
+            matched_bytes=sum(match_lengths),
+            token_count=len(tokens),
+            match_lengths=match_lengths,
+        )
+
 
 class LZCompressor:
     """Sliding-window LZ with greedy match selection."""
@@ -97,73 +118,76 @@ class LZCompressor:
     # ------------------------------------------------------------------
 
     def tokenize(self, data: bytes) -> List[LZToken]:
-        """Split ``data`` into LZ sequences using greedy matching."""
+        """Split ``data`` into LZ sequences using greedy matching.
+
+        Chains are keyed by the 4-byte prefix itself, so every candidate
+        matches at least :data:`MIN_MATCH` bytes and the output cannot
+        depend on the process's hash seed.  A candidate whose byte at
+        ``best_length`` differs from the current position's cannot give
+        a strictly longer match and is skipped without being measured;
+        it still counts against ``max_chain``.
+        """
         window = self.config.window_size
         max_chain = self.config.max_chain
         tokens: List[LZToken] = []
-        head: Dict[int, int] = {}  # 4-byte prefix hash -> most recent position
-        prev: Dict[int, int] = {}  # position -> previous position w/ same hash
+        head: Dict[bytes, int] = {}  # 4-byte prefix -> most recent position
+        length = len(data)
+        prev = [-1] * length  # position -> previous position, same prefix
+        last_start = length - MIN_MATCH  # last position with a full prefix
         literal_start = 0
         position = 0
-        length = len(data)
-        while position < length:
+        while position <= last_start:
+            key = data[position : position + MIN_MATCH]
+            candidate = head.get(key, -1)
+            prev[position] = candidate
+            head[key] = position
+            if candidate < 0 or position - candidate > window:
+                position += 1  # literal
+                continue
+            # The first candidate matches at least MIN_MATCH bytes.
+            limit = min(length - position, MAX_MATCH)
             best_length = 0
             best_offset = 0
-            if position + MIN_MATCH <= length:
-                key = data[position : position + MIN_MATCH]
-                candidate = head.get(hash(key), -1)
-                chain = 0
-                while candidate >= 0 and chain < max_chain:
-                    offset = position - candidate
-                    if offset > window:
-                        break
-                    match_length = self._match_length(data, candidate, position)
+            chain = 0
+            while candidate >= 0 and chain < max_chain:
+                offset = position - candidate
+                if offset > window:
+                    break
+                if data[candidate + best_length] == data[position + best_length]:
+                    match_length = MIN_MATCH
+                    while (match_length + _COMPARE_CHUNK <= limit
+                           and data[candidate + match_length :
+                                    candidate + match_length + _COMPARE_CHUNK]
+                           == data[position + match_length :
+                                   position + match_length + _COMPARE_CHUNK]):
+                        match_length += _COMPARE_CHUNK
+                    while (match_length < limit
+                           and data[candidate + match_length]
+                           == data[position + match_length]):
+                        match_length += 1
                     if match_length > best_length:
                         best_length = match_length
                         best_offset = offset
-                        if match_length >= MAX_MATCH:
+                        if match_length == limit:
                             break
-                    candidate = prev.get(candidate, -1)
-                    chain += 1
-            if best_length >= MIN_MATCH:
-                tokens.append(
-                    LZToken(
-                        literals=data[literal_start:position],
-                        match_length=best_length,
-                        match_offset=best_offset,
-                    )
+                candidate = prev[candidate]
+                chain += 1
+            end = position + best_length
+            for step in range(position + 1, min(end, last_start + 1)):
+                key = data[step : step + MIN_MATCH]
+                prev[step] = head.get(key, -1)
+                head[key] = step
+            tokens.append(
+                LZToken(
+                    literals=data[literal_start:position],
+                    match_length=best_length,
+                    match_offset=best_offset,
                 )
-                end = min(position + best_length, length - MIN_MATCH + 1)
-                step = position
-                while step < end:
-                    self._insert(data, step, head, prev)
-                    step += 1
-                position += best_length
-                literal_start = position
-            else:
-                self._insert(data, position, head, prev)
-                position += 1
+            )
+            position = literal_start = end
         if literal_start < length or not tokens:
             tokens.append(LZToken(literals=data[literal_start:]))
         return tokens
-
-    @staticmethod
-    def _match_length(data: bytes, candidate: int, position: int) -> int:
-        limit = min(len(data) - position, MAX_MATCH)
-        length = 0
-        while length < limit and data[candidate + length] == data[position + length]:
-            length += 1
-        return length
-
-    def _insert(
-        self, data: bytes, position: int, head: Dict[int, int], prev: Dict[int, int]
-    ) -> None:
-        if position + MIN_MATCH > len(data):
-            return
-        key = hash(data[position : position + MIN_MATCH])
-        if key in head:
-            prev[position] = head[key]
-        head[key] = position
 
     # ------------------------------------------------------------------
     # Byte-stream serialization (the 256-symbol alphabet)
@@ -247,13 +271,4 @@ class LZCompressor:
     def stats(self, data: bytes) -> LZStats:
         """Compress and report the counts the cycle model consumes."""
         tokens = self.tokenize(data)
-        stream = self.serialize(tokens)
-        stats = LZStats(input_bytes=len(data), output_bytes=len(stream))
-        for token in tokens:
-            stats.token_count += 1
-            stats.literal_bytes += len(token.literals)
-            if token.match_length:
-                stats.match_count += 1
-                stats.matched_bytes += token.match_length
-                stats.match_lengths.append(token.match_length)
-        return stats
+        return LZStats.from_tokens(len(data), len(self.serialize(tokens)), tokens)

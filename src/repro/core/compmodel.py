@@ -1,8 +1,9 @@
 """Per-page compression oracles.
 
 Running the bit-exact Deflate over every page a simulation migrates would
-dominate runtime (Python pays ~10 ms per 4 KB page), so each workload gets
-an oracle: a *sample* of its pages is pushed through the real codecs
+dominate runtime (Python pays about 4 ms per 4 KB page for Deflate and
+about as much again for the block selector), so each workload gets an
+oracle: a *sample* of its pages is pushed through the real codecs
 (page-level Deflate with the pipeline timing model, and the block-level
 best-of selector), and every simulated page deterministically maps to one
 of the measured records.  The simulator therefore sees genuine compressed
@@ -13,7 +14,7 @@ and the Figure 15 benches still run the codecs on full corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import TYPE_CHECKING, Callable, List
 
 from repro.common.units import PAGE_SIZE
 from repro.compression.block import SelectiveBlockCompressor
@@ -23,6 +24,9 @@ from repro.compression.deflate import (
     DeflateTimingModel,
     IBMDeflateModel,
 )
+
+if TYPE_CHECKING:
+    from repro.core.config import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,20 @@ class PageCompressionModel:
                     block_sizes=block_sizes,
                 )
             )
+
+    @classmethod
+    def for_system(cls, content: Callable[[int], bytes],
+                   system: "SystemConfig", seed: int = 0) -> "PageCompressionModel":
+        """The model a simulation of ``system`` uses: its sample count,
+        Deflate configuration and both timing models."""
+        return cls(
+            content,
+            sample_pages=system.compression_samples,
+            deflate_config=system.deflate,
+            timing=system.deflate_timing,
+            ibm=system.ibm_timing,
+            seed=seed,
+        )
 
     def record_for(self, vpn: int) -> PageRecord:
         """Deterministic page -> record assignment (Knuth hash)."""

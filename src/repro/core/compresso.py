@@ -79,6 +79,10 @@ class CompressoController(MemoryController):
     # ------------------------------------------------------------------
 
     def _alloc_chunks(self, count: int) -> List[int]:
+        if not self._chunk_free:  # nothing to reuse: a contiguous run
+            start = self._next_chunk
+            self._next_chunk = start + count
+            return list(range(start, start + count))
         chunks = []
         for _ in range(count):
             if self._chunk_free:
@@ -106,18 +110,22 @@ class CompressoController(MemoryController):
         """Compress and pack every page; Compresso has no budget knob --
         its DRAM usage *is* the outcome (Table IV column B)."""
         blocks_per_page = PAGE_SIZE // 64
+        ctes = self._cte
+        alloc = self._alloc_chunks
         for ppn in table_ppns:
             # Page-table pages: kept uncompressed-equivalent (hot, dirty).
-            cte = CompressoCTE(block_sizes=[64] * blocks_per_page)
-            cte.chunks = self._alloc_chunks(cte.chunks_needed(CHUNK_BYTES))
-            self._cte[ppn] = cte
+            ctes[ppn] = CompressoCTE(chunks=alloc(PAGE_SIZE // CHUNK_BYTES),
+                                     block_sizes=[64] * blocks_per_page)
         for ppn in data_ppns:
             record = model.record_for(ppn)
-            sizes = list(record.block_sizes) if record.block_sizes else \
-                [record.block_bytes // blocks_per_page] * blocks_per_page
-            cte = CompressoCTE(block_sizes=sizes)
-            cte.chunks = self._alloc_chunks(cte.chunks_needed(CHUNK_BYTES))
-            self._cte[ppn] = cte
+            if record.block_sizes:  # block_bytes is their sum
+                sizes = list(record.block_sizes)
+                page_bytes = record.block_bytes
+            else:
+                sizes = [record.block_bytes // blocks_per_page] * blocks_per_page
+                page_bytes = sum(sizes)
+            ctes[ppn] = CompressoCTE(chunks=alloc(-(-page_bytes // CHUNK_BYTES)),
+                                     block_sizes=sizes)
         self._cte_table_base = (self._next_chunk + 8) * CHUNK_BYTES
 
     def _data_address(self, ppn: int, block_index: int) -> int:

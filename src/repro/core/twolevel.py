@@ -117,13 +117,17 @@ class TwoLevelController(MemoryController):
         self._budget_chunks = budget_chunks
 
         ordered = sorted(data_ppns, key=lambda p: hotness_rank.get(p, 1 << 30))
-        must_ml1 = [p for p in table_ppns]
+        must_ml1 = list(table_ppns)
         compressible: List[int] = []
+        records: List[PageRecord] = []  # of the compressible pages
+        record_for = model.record_for
         for ppn in ordered:
-            if model.record_for(ppn).deflate_incompressible:
+            record = record_for(ppn)
+            if record.deflate_incompressible:
                 must_ml1.append(ppn)
             else:
                 compressible.append(ppn)
+                records.append(record)
 
         # Keep a free-chunk reserve, scaled down for small simulations.
         reserve = min(self.config.ml1_low_watermark, max(2, budget_chunks // 8))
@@ -133,7 +137,7 @@ class TwoLevelController(MemoryController):
                 f"DRAM budget {dram_budget_bytes} cannot hold even the "
                 f"{len(must_ml1)} uncompressible/pinned pages"
             )
-        ml1_count = self._plan_split(compressible, available)
+        ml1_count = self._plan_split(records, available)
 
         # Build the chunk pool and place pages.
         self.ml1_free.push_many(range(budget_chunks))
@@ -141,8 +145,8 @@ class TwoLevelController(MemoryController):
             chunk = self.ml1_free.pop()
             self._dram_page[ppn] = chunk
             self._cte[ppn] = PageCTE(dram_page=chunk, in_ml2=False)
-        for ppn in compressible[ml1_count:]:
-            self._place_in_ml2(ppn)
+        for ppn, record in zip(compressible[ml1_count:], records[ml1_count:]):
+            self._place_in_ml2(ppn, record)
         self._pinned = set(table_ppns)
 
         # Recency list: coldest pushed first so the hottest end up at MRU.
@@ -150,14 +154,11 @@ class TwoLevelController(MemoryController):
             self.recency.push_hot(ppn)
         self._cte_table_base = budget_chunks * PAGE_SIZE
 
-    def _plan_split(self, compressible: List[int], available_chunks: int) -> int:
-        """Largest hot prefix kept in ML1 such that everything fits."""
-        if self._model is None:
-            raise RuntimeError("initialize() sets the model first")
-        sizes = [
-            self.ml2_free.class_for(self._model.record_for(p).deflate_bytes)
-            for p in compressible
-        ]
+    def _plan_split(self, records: List[PageRecord], available_chunks: int) -> int:
+        """Largest hot prefix of the compressible pages (``records``,
+        hottest first) kept in ML1 such that everything fits."""
+        class_for = self.ml2_free.class_for
+        sizes = [class_for(record.deflate_bytes) for record in records]
         suffix = [0] * (len(sizes) + 1)
         for i in range(len(sizes) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + sizes[i]
@@ -179,8 +180,7 @@ class TwoLevelController(MemoryController):
                 high = mid - 1
         return low
 
-    def _place_in_ml2(self, ppn: int) -> bool:
-        record = self._model.record_for(ppn)
+    def _place_in_ml2(self, ppn: int, record: PageRecord) -> bool:
         subchunk = self.ml2_free.alloc(record.deflate_bytes, self.ml1_free)
         if subchunk is None:
             return False
@@ -425,7 +425,7 @@ class TwoLevelController(MemoryController):
                 continue
             old_chunk = self._dram_page[victim]
             self.ml1_free.push(old_chunk)
-            if not self._place_in_ml2(victim):
+            if not self._place_in_ml2(victim, record):
                 # Could not carve a sub-chunk; undo the free-list push.
                 popped = self.ml1_free.pop()
                 self._dram_page[victim] = popped

@@ -101,20 +101,6 @@ def _cell(workload: Workload, controller: str, seed: int,
     )
 
 
-def _shared_model(workload: Workload, system: SystemConfig,
-                  seed: int) -> PageCompressionModel:
-    """One compression oracle per workload so all controllers agree on
-    per-page sizes/latencies."""
-    return PageCompressionModel(
-        workload.content,
-        sample_pages=system.compression_samples,
-        deflate_config=system.deflate,
-        timing=system.deflate_timing,
-        ibm=system.ibm_timing,
-        seed=seed,
-    )
-
-
 @dataclass
 class IsoCapacityResult:
     """Figure 17's data for one workload."""
@@ -149,7 +135,7 @@ def iso_capacity_comparison(
     from repro.sweep.spec import SweepSpec
 
     system = system or SystemConfig()
-    model = _shared_model(workload, system, seed)
+    model = PageCompressionModel.for_system(workload.content, system, seed)
     spec = SweepSpec.build(
         name="iso-capacity",
         workloads=(workload.name,),
@@ -208,7 +194,7 @@ def iso_performance_capacity(
     sequential because every probe's budget depends on the last verdict.
     """
     system = system or SystemConfig()
-    model = _shared_model(workload, system, seed)
+    model = PageCompressionModel.for_system(workload.content, system, seed)
     compresso = run_workload(workload, "compresso", system, seed=seed,
                              model=model)
     target = compresso.performance * performance_floor
@@ -275,7 +261,7 @@ def osinspired_split(
     from repro.sweep.spec import SweepSpec
 
     system = system or SystemConfig()
-    model = _shared_model(workload, system, seed)
+    model = PageCompressionModel.for_system(workload.content, system, seed)
     spec = SweepSpec.build(
         name="osinspired-split",
         workloads=(workload.name,),

@@ -109,14 +109,8 @@ class MultiCoreSimulator:
             self.context.metrics.attach(f"{prefix}.cache.l2",
                                         core.hierarchy.l2.stats)
         self.dram = self.context.register("dram", DRAMSystem(self.system.dram))
-        self.model = model or PageCompressionModel(
-            workload.content,
-            sample_pages=self.system.compression_samples,
-            deflate_config=self.system.deflate,
-            timing=self.system.deflate_timing,
-            ibm=self.system.ibm_timing,
-            seed=seed,
-        )
+        self.model = model or PageCompressionModel.for_system(
+            workload.content, self.system, seed)
         self.controller = self.context.register(
             "controller",
             create_controller(controller, self.system, self.dram, seed=seed),

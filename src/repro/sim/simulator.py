@@ -23,6 +23,7 @@ decorating a class -- no simulator edits.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -167,14 +168,8 @@ class Simulator:
                 "nested_walker", NestedPageWalker(self.table, self.host_table))
 
         # -- compression model and controller ---------------------------
-        self.model = model or PageCompressionModel(
-            workload.content,
-            sample_pages=self.system.compression_samples,
-            deflate_config=self.system.deflate,
-            timing=self.system.deflate_timing,
-            ibm=self.system.ibm_timing,
-            seed=seed,
-        )
+        self.model = model or PageCompressionModel.for_system(
+            workload.content, self.system, seed)
         self.controller = self.context.register(
             "controller",
             create_controller(controller, self.system, self.dram, seed=seed),
@@ -292,40 +287,24 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _data_pages_and_hotness(self):
-        counts: Dict[int, int] = {}
-        for vaddr, _ in self.workload.trace:
-            vpn = vaddr >> 12
-            counts[vpn] = counts.get(vpn, 0) + 1
+        # Counter keeps first-touch order, so equally hot pages keep it.
+        counts = Counter([vaddr >> 12 for vaddr, _ in self.workload.trace])
         ranked_vpns = sorted(counts, key=counts.get, reverse=True)
         # Warm-up drift: a few warm pages turned cold before the measured
         # window (or were sampled unluckily by the 1% recency updates);
         # they start behind even the never-touched pages and hence in ML2.
-        drifted = [vpn for vpn in ranked_vpns
-                   if self._placement_rng.chance(self.placement_drift)]
+        chance = self._placement_rng.chance
+        drifted = [vpn for vpn in ranked_vpns if chance(self.placement_drift)]
         drifted_set = set(drifted)
-
-        hotness: Dict[int, int] = {}
-        data_ppns = []
-        rank = 0
-
-        def place(vpn: int) -> None:
-            nonlocal rank
-            ppn = self._translate_vpn(vpn)
-            if ppn is None:  # trace address outside the mapped footprint
-                return
-            hotness[ppn] = rank
-            data_ppns.append(ppn)
-            rank += 1
-
-        for vpn in ranked_vpns:
-            if vpn not in drifted_set:
-                place(vpn)
-        for offset in range(self.workload.footprint_pages):
-            vpn = self.workload.base_vpn + offset
-            if vpn not in counts:
-                place(vpn)
-        for vpn in drifted:
-            place(vpn)
+        base = self.workload.base_vpn
+        placement = [vpn for vpn in ranked_vpns if vpn not in drifted_set]
+        placement += [vpn for vpn in range(base, base + self.workload.footprint_pages)
+                      if vpn not in counts]
+        placement += drifted
+        translate = self._translate_vpn
+        # Trace addresses outside the mapped footprint translate to None.
+        data_ppns = [ppn for ppn in map(translate, placement) if ppn is not None]
+        hotness = {ppn: rank for rank, ppn in enumerate(data_ppns)}
         return data_ppns, hotness
 
     def _translate_vpn(self, vpn: int) -> Optional[int]:

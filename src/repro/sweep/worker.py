@@ -72,14 +72,8 @@ def _model_for(job: JobSpec, workload: Workload,
            job.seed)
     model = _MODEL_CACHE.get(key)
     if model is None:
-        model = PageCompressionModel(
-            workload.content,
-            sample_pages=system.compression_samples,
-            deflate_config=system.deflate,
-            timing=system.deflate_timing,
-            ibm=system.ibm_timing,
-            seed=job.seed,
-        )
+        model = PageCompressionModel.for_system(workload.content, system,
+                                                job.seed)
         _MODEL_CACHE[key] = model
     return model
 

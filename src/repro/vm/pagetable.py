@@ -68,6 +68,10 @@ class FrameAllocator:
             raise MemoryError("physical memory exhausted")
         if self._rng.chance(self.jump_chance):
             self._next = self._rng.randint(0, self.total_frames - 1)
+        return self._claim_next()
+
+    def _claim_next(self) -> int:
+        """Claim the first free frame at or after the cursor, wrapping."""
         for _ in range(self.total_frames):
             candidate = self._next % self.total_frames
             self._next = candidate + 1
@@ -331,19 +335,33 @@ class PageTablePopulator:
 
         Equivalent to ``map_page`` per vpn, but consecutive vpns share a
         leaf table page for runs of 512, so the three-level descent is
-        only repeated when the run crosses a leaf boundary.  Allocator
-        calls (and therefore RNG draws) happen in the same order.
+        only repeated when the run crosses a leaf boundary.  Allocations
+        (and therefore RNG draws) happen in the same order.
         """
         make_pte(0, status_low)  # validate the status bits once
         table = self.table
         mapped = self._mapped
-        alloc = self.allocator.alloc
+        allocator = self.allocator
+        allocated = allocator._allocated
+        total_frames = allocator.total_frames
+        chance = allocator._rng.chance
         ppns: List[int] = []
         append = ppns.append
         leaf_entries: Optional[List[int]] = None
         leaf_base = -1
         for vpn in range(vbase_vpn, vbase_vpn + num_pages):
-            ppn = alloc()
+            # FrameAllocator.alloc, inlined for its common case: the
+            # frame under the cursor is free.
+            if len(allocated) >= total_frames:
+                raise MemoryError("physical memory exhausted")
+            if chance(allocator.jump_chance):
+                allocator._next = allocator._rng.randint(0, total_frames - 1)
+            ppn = allocator._next % total_frames
+            if ppn in allocated:
+                ppn = allocator._claim_next()
+            else:
+                allocated.add(ppn)
+                allocator._next = ppn + 1
             base = vpn >> 9
             if base != leaf_base:
                 page = table.root

@@ -1,5 +1,10 @@
 """Tests for the LZ77 stage."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,3 +172,38 @@ def test_incompressible_expansion_is_bounded():
     compressed = lz.compress(data)
     assert len(compressed) <= len(data) * 1.07 + 16
     assert lz.decompress(compressed, len(data)) == data
+
+
+_TOKEN_DIGEST = """
+import hashlib, random, sys
+from repro.compression.lz import LZCompressor
+from repro.workloads.content import synthesizer_for
+
+rng = random.Random(11)
+pages = [synthesizer_for(profile, seed=3)(vpn)
+         for profile in ("graph", "mcf", "omnetpp", "canneal")
+         for vpn in range(3)]
+pages += [rng.randbytes(4096), bytes(range(256)) * 16]
+lz = LZCompressor()
+digest = hashlib.sha256()
+for page in pages:
+    digest.update(repr(lz.tokenize(page)).encode())
+print(digest.hexdigest())
+"""
+
+
+def _token_digest(hash_seed: str) -> str:
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   [str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", _TOKEN_DIGEST], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_tokens_do_not_depend_on_hash_seed():
+    """Match chains are keyed by prefix bytes, not ``hash()``, so two
+    processes with different hash seeds tokenize identically."""
+    digests = {_token_digest(seed) for seed in ("1", "4242")}
+    assert len(digests) == 1 and digests != {""}

@@ -9,14 +9,12 @@ involved (``l3_miss``); the memory controller owns everything below.  Dirty
 L3 victims surface as ``dram_writebacks`` so the controller can model write
 traffic and compressed-page bookkeeping.
 
-Storage is columnar (``sa_cache.SetAssociativeCache``): the one access
-path (``access_fast``/``access_fast_miss``) and its fill helpers write
-the flat tag/flag columns and per-set recency order lists directly -- no
-:class:`CacheLine` objects move between levels; ``access`` reports the
-same transitions as an :class:`AccessResult`.  Any change to the fill
-semantics must be mirrored in ``ReferenceSetAssociativeCache`` (the
-readable spec) and stays pinned by the differential property tests and
-the frozen goldens.
+There is one access path (``access_fast``/``access_fast_miss``); its fill
+helpers work on each level's block-keyed store (``sa_cache``) directly,
+moving a line between levels as its packed flag int -- no
+:class:`~repro.cache.sa_cache.CacheLine` objects are built.  ``access``
+reports the same transitions as an :class:`AccessResult`.  The frozen
+hierarchy goldens (``tests/cache/goldens``) pin the fill semantics.
 """
 
 from __future__ import annotations
@@ -25,8 +23,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
-from repro.cache.sa_cache import CacheLine, SetAssociativeCache
+from repro.cache.sa_cache import COMPRESSED, DIRTY, IS_PTB, SetAssociativeCache
 from repro.common.units import KIB, MIB
+
+#: Flags an L1 fill inherits from the copy that serves it; dirty comes
+#: from the request instead.
+_INHERITED = COMPRESSED | IS_PTB
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,9 @@ class CacheHierarchy:
         level = self.access_fast(block, is_write, is_ptb, writebacks)
         # Every outcome leaves the block in L1 carrying the compressed
         # bit of the copy that served it.
-        l1 = self.l1
         return AccessResult(_HIT_LEVELS[level], self._latency_cycles[level],
                             level == 3, writebacks,
-                            bool(l1._compressed[l1._index[block]]))
+                            bool(self.l1._index[block] & COMPRESSED))
 
     def access_fast(self, block: int, is_write: bool, is_ptb: bool,
                     writebacks: List[int]) -> int:
@@ -130,17 +131,17 @@ class CacheHierarchy:
                 outstanding[block] = True
 
         l1 = self.l1
-        slot = l1._index.get(block)
+        index = l1._index
         stats = l1.stats
         stats.total += 1
-        if slot is not None:
+        if block in index:
             stats.hits += 1
-            order = l1._orders[block & (l1.num_sets - 1)]
-            if order[-1] != slot:
-                order.remove(slot)
-                order.append(slot)
+            order = l1._orders[block & l1.set_mask]
+            if order[-1] != block:
+                order.remove(block)
+                order.append(block)
             if is_write:
-                l1._dirty[slot] = 1
+                index[block] |= DIRTY
             return 0
         return self.access_fast_miss(block, is_write, is_ptb, writebacks)
 
@@ -165,18 +166,12 @@ class CacheHierarchy:
                 if (target not in self.l1._index
                         and target not in self.l2._index):
                     l3 = self.l3
-                    slot = l3._index.pop(target, None)
-                    if slot is not None:
-                        set_index = target & (l3.num_sets - 1)
-                        l3._orders[set_index].remove(slot)
-                        l3._free[set_index].append(slot)
-                        l3._tags[slot] = -1
-                        self._fill_l2(target, l3._dirty[slot],
-                                      l3._compressed[slot], l3._is_ptb[slot],
-                                      writebacks)
+                    flags = l3._index.pop(target, None)
+                    if flags is not None:
+                        l3._orders[target & l3.set_mask].remove(target)
+                        self._fill_l2(target, flags, writebacks)
                     else:
-                        self._fill_l2(target, dirty=False, compressed=False,
-                                      is_ptb=False, writebacks=writebacks)
+                        self._fill_l2(target, 0, writebacks)
             else:
                 nl._cooloff += 1
                 if nl._cooloff >= nl.window:
@@ -188,17 +183,16 @@ class CacheHierarchy:
                 self._issue_prefetches(candidates, writebacks)
 
         l2 = self.l2
-        slot = l2._index.get(block)
+        flags = l2._index.get(block)
         stats = l2.stats
         stats.total += 1
-        if slot is not None:
+        if flags is not None:
             stats.hits += 1
-            order = l2._orders[block & (l2.num_sets - 1)]
-            if order[-1] != slot:
-                order.remove(slot)
-                order.append(slot)
-            self._fill_l1(block, is_write, l2._compressed[slot],
-                          l2._is_ptb[slot], writebacks)
+            order = l2._orders[block & l2.set_mask]
+            if order[-1] != block:
+                order.remove(block)
+                order.append(block)
+            self._fill_l1(block, (flags & _INHERITED) | is_write, writebacks)
             return 1
 
         if self._prefetch_on:
@@ -207,178 +201,89 @@ class CacheHierarchy:
                 self._issue_prefetches(candidates, writebacks)
 
         l3 = self.l3
-        slot = l3._index.pop(block, None)
+        flags = l3._index.pop(block, None)
         stats = l3.stats
         stats.total += 1
-        if slot is not None:
+        if flags is not None:
             stats.hits += 1
             # lookup-then-invalidate collapses to one removal: the
             # lookup's recency bump is dead state on a leaving line.
-            set_index = block & (l3.num_sets - 1)
-            l3._orders[set_index].remove(slot)
-            l3._free[set_index].append(slot)
-            l3._tags[slot] = -1
-            moved_dirty = l3._dirty[slot]
-            moved_compressed = l3._compressed[slot]
-            moved_ptb = l3._is_ptb[slot]
-            self._fill_l2(block, moved_dirty, moved_compressed, moved_ptb,
-                          writebacks)
-            self._fill_l1(block, is_write, moved_compressed, moved_ptb,
-                          writebacks)
+            l3._orders[block & l3.set_mask].remove(block)
+            self._fill_l2(block, flags, writebacks)
+            self._fill_l1(block, (flags & _INHERITED) | is_write, writebacks)
             return 2
 
-        self._fill_l2(block, dirty=False, compressed=False, is_ptb=is_ptb,
-                      writebacks=writebacks)
-        self._fill_l1(block, is_write, compressed=False, is_ptb=is_ptb,
-                      writebacks=writebacks)
+        flags = IS_PTB if is_ptb else 0
+        self._fill_l2(block, flags, writebacks)
+        self._fill_l1(block, flags | is_write, writebacks)
         return 3
 
     # ------------------------------------------------------------------
     # Fill helpers (inclusive L2, exclusive L3)
     # ------------------------------------------------------------------
 
-    # The fill helpers write the columnar state directly: they sit under
-    # every L1 miss of the replay loop, and both the object graph and the
-    # call layers of the original per-line implementation dominated the
-    # hierarchy's profile.  Any change to the fill semantics must be
-    # mirrored in ``ReferenceSetAssociativeCache`` (``sa_cache.py``).
+    # ``_fill_l1``/``_fill_l2`` install a block their level does not
+    # hold: every caller has just missed in that level or checked its
+    # membership.  ``flags`` is the new line's packed flag int.
 
-    def _fill_l1(self, block: int, is_write: bool, compressed, is_ptb,
-                 writebacks: List[int]) -> None:
+    def _fill_l1(self, block: int, flags: int, writebacks: List[int]) -> None:
         l1 = self.l1
         index = l1._index
-        slot = index.get(block)
-        if slot is not None:  # refresh in place
-            order = l1._orders[block & (l1.num_sets - 1)]
-            if order[-1] != slot:
-                order.remove(slot)
-                order.append(slot)
-            if is_write:
-                l1._dirty[slot] = 1
-            l1._compressed[slot] = 1 if compressed else 0
-            if is_ptb:
-                l1._is_ptb[slot] = 1
-            return
-        set_index = block & (l1.num_sets - 1)
-        order = l1._orders[set_index]
-        victim_block = -1
+        order = l1._orders[block & l1.set_mask]
         if len(order) >= l1.associativity:
-            slot = order.pop(0)
-            victim_dirty = l1._dirty[slot]
-            if victim_dirty:
-                victim_block = l1._tags[slot]
-                victim_compressed = l1._compressed[slot]
-                victim_ptb = l1._is_ptb[slot]
-                del index[victim_block]
-            else:
-                del index[l1._tags[slot]]
-        else:
-            slot = l1._free[set_index].pop()
-        try:
-            l1._tags[slot] = block
-        except OverflowError:  # beyond int64: demote via the slow helper
-            l1._store_tag(slot, block)
-        l1._dirty[slot] = 1 if is_write else 0
-        l1._compressed[slot] = 1 if compressed else 0
-        l1._is_ptb[slot] = 1 if is_ptb else 0
-        index[block] = slot
-        order.append(slot)
-        if victim_block >= 0:
-            # Inclusive L2 holds the line; merge the dirty data down.
-            l2 = self.l2
-            l2_slot = l2._index.get(victim_block)
-            if l2_slot is not None:
-                l2._dirty[l2_slot] = 1
-            else:
-                # L2 already evicted it (rare ordering); send to L3.
-                self._victim_to_l3(victim_block, True, victim_compressed,
-                                   victim_ptb, writebacks)
+            victim = order.pop(0)
+            victim_flags = index.pop(victim)
+            if victim_flags & DIRTY:
+                # Inclusive L2 holds the line; merge the dirty data down.
+                l2_index = self.l2._index
+                if victim in l2_index:
+                    l2_index[victim] |= DIRTY
+                else:
+                    # L2 already evicted it (rare ordering); send to L3.
+                    self._victim_to_l3(victim, victim_flags, writebacks)
+        index[block] = flags
+        order.append(block)
 
-    def _fill_l2(self, block: int, dirty, compressed, is_ptb,
-                 writebacks: List[int]) -> None:
+    def _fill_l2(self, block: int, flags: int, writebacks: List[int]) -> None:
         l2 = self.l2
         index = l2._index
-        slot = index.get(block)
-        if slot is not None:  # refresh in place
-            order = l2._orders[block & (l2.num_sets - 1)]
-            if order[-1] != slot:
-                order.remove(slot)
-                order.append(slot)
-            if dirty:
-                l2._dirty[slot] = 1
-            l2._compressed[slot] = 1 if compressed else 0
-            if is_ptb:
-                l2._is_ptb[slot] = 1
+        order = l2._orders[block & l2.set_mask]
+        if len(order) < l2.associativity:
+            index[block] = flags
+            order.append(block)
             return
-        set_index = block & (l2.num_sets - 1)
-        order = l2._orders[set_index]
-        victim_block = -1
-        if len(order) >= l2.associativity:
-            slot = order.pop(0)
-            victim_block = l2._tags[slot]
-            victim_dirty = l2._dirty[slot]
-            victim_compressed = l2._compressed[slot]
-            victim_ptb = l2._is_ptb[slot]
-            del index[victim_block]
-        else:
-            slot = l2._free[set_index].pop()
-        try:
-            l2._tags[slot] = block
-        except OverflowError:  # beyond int64: demote via the slow helper
-            l2._store_tag(slot, block)
-        l2._dirty[slot] = 1 if dirty else 0
-        l2._compressed[slot] = 1 if compressed else 0
-        l2._is_ptb[slot] = 1 if is_ptb else 0
-        index[block] = slot
-        order.append(slot)
-        if victim_block >= 0:
-            # Inclusive: purge the L1 copy; its dirtiness rides along.
-            l1 = self.l1
-            l1_slot = l1._index.pop(victim_block, None)
-            if l1_slot is not None:
-                l1_set = victim_block & (l1.num_sets - 1)
-                l1._orders[l1_set].remove(l1_slot)
-                l1._free[l1_set].append(l1_slot)
-                l1._tags[l1_slot] = -1
-                if l1._dirty[l1_slot]:
-                    victim_dirty = True
-            self._victim_to_l3(victim_block, victim_dirty, victim_compressed,
-                               victim_ptb, writebacks)
+        victim = order.pop(0)
+        victim_flags = index.pop(victim)
+        index[block] = flags
+        order.append(block)
+        # Inclusive: purge the L1 copy; its dirtiness rides along.
+        l1 = self.l1
+        l1_flags = l1._index.pop(victim, None)
+        if l1_flags is not None:
+            l1._orders[victim & l1.set_mask].remove(victim)
+            victim_flags |= l1_flags & DIRTY
+        self._victim_to_l3(victim, victim_flags, writebacks)
 
-    def _victim_to_l3(self, block: int, dirty, compressed, is_ptb,
+    def _victim_to_l3(self, block: int, flags: int,
                       writebacks: List[int]) -> None:
         l3 = self.l3
         index = l3._index
-        slot = index.get(block)
-        if slot is not None:  # refresh in place
-            order = l3._orders[block & (l3.num_sets - 1)]
-            if order[-1] != slot:
-                order.remove(slot)
-                order.append(slot)
-            if dirty:
-                l3._dirty[slot] = 1
-            l3._compressed[slot] = 1 if compressed else 0
-            if is_ptb:
-                l3._is_ptb[slot] = 1
+        order = l3._orders[block & l3.set_mask]
+        old = index.get(block)
+        if old is not None:
+            # A shared L3 may already hold the victim: refresh in place,
+            # keeping dirty and is_ptb, taking the new compressed bit.
+            if order[-1] != block:
+                order.remove(block)
+                order.append(block)
+            index[block] = (old & ~COMPRESSED) | flags
             return
-        set_index = block & (l3.num_sets - 1)
-        order = l3._orders[set_index]
         if len(order) >= l3.associativity:
-            slot = order.pop(0)
-            if l3._dirty[slot]:
-                writebacks.append(l3._tags[slot])
-            del index[l3._tags[slot]]
-        else:
-            slot = l3._free[set_index].pop()
-        try:
-            l3._tags[slot] = block
-        except OverflowError:  # beyond int64: demote via the slow helper
-            l3._store_tag(slot, block)
-        l3._dirty[slot] = 1 if dirty else 0
-        l3._compressed[slot] = 1 if compressed else 0
-        l3._is_ptb[slot] = 1 if is_ptb else 0
-        index[block] = slot
-        order.append(slot)
+            evicted = order.pop(0)
+            if index.pop(evicted) & DIRTY:
+                writebacks.append(evicted)
+        index[block] = flags
+        order.append(block)
 
     # ------------------------------------------------------------------
     # Prefetch
@@ -386,47 +291,31 @@ class CacheHierarchy:
 
     def _issue_prefetches(self, blocks: List[int], writebacks: List[int]) -> None:
         """Install prefetched blocks into L2 (no latency is charged)."""
-        if not blocks:
-            return
-        l1, l2, l3 = self.l1, self.l2, self.l3
-        l1_index = l1._index
-        l2_index = l2._index
+        l1_index = self.l1._index
+        l2_index = self.l2._index
+        l3 = self.l3
         l3_index = l3._index
         for block in blocks:
             if block in l1_index or block in l2_index:
                 continue
             # contains + invalidate collapse to one removal.
-            slot = l3_index.pop(block, None)
-            if slot is not None:
-                set_index = block & (l3.num_sets - 1)
-                l3._orders[set_index].remove(slot)
-                l3._free[set_index].append(slot)
-                l3._tags[slot] = -1
-                self._fill_l2(block, l3._dirty[slot], l3._compressed[slot],
-                              l3._is_ptb[slot], writebacks)
+            flags = l3_index.pop(block, None)
+            if flags is not None:
+                l3._orders[block & l3.set_mask].remove(block)
+                self._fill_l2(block, flags, writebacks)
             else:
-                self._fill_l2(block, dirty=False, compressed=False,
-                              is_ptb=False, writebacks=writebacks)
+                self._fill_l2(block, 0, writebacks)
 
     # ------------------------------------------------------------------
-    # Introspection for the compression controllers
+    # Compressed-PTB line bit
     # ------------------------------------------------------------------
-
-    def resident_line(self, address: int) -> Optional[CacheLine]:
-        """The L1/L2/L3 line holding ``address``, if any (no side effects)."""
-        block = address >> 6
-        return self.l1.peek(block) or self.l2.peek(block) or self.l3.peek(block)
 
     def mark_compressed(self, address: int, compressed: bool = True) -> None:
         """Set the compressed-PTB data bit on whichever copies exist."""
         block = address >> 6
-        flag = 1 if compressed else 0
         for cache in (self.l1, self.l2, self.l3):
-            slot = cache._index.get(block)
-            if slot is not None:
-                cache._compressed[slot] = flag
-
-    def invalidate_everywhere(self, address: int) -> None:
-        block = address >> 6
-        for cache in (self.l1, self.l2, self.l3):
-            cache.invalidate(block)
+            index = cache._index
+            flags = index.get(block)
+            if flags is not None:
+                index[block] = (flags | COMPRESSED if compressed
+                                else flags & ~COMPRESSED)

@@ -31,6 +31,7 @@ from functools import reduce as _reduce
 from itertools import compress as _compress
 from operator import add as _add
 
+from repro.cache.sa_cache import DIRTY
 from repro.core.base import MemoryController, PATH_CTE_HIT
 from repro.sim.columns import trace_columns
 
@@ -96,10 +97,8 @@ def run_fast(sim, state) -> None:
     nl_outstanding = hierarchy._next_line._outstanding
     l1 = hierarchy.l1
     l1_index = l1._index
-    l1_index_get = l1_index.get
     l1_orders = l1._orders
-    l1_dirty = l1._dirty
-    l1_mask = l1.num_sets - 1
+    l1_mask = l1.set_mask
     l1_stats = l1.stats
     lat_l1 = lat[0]
     walker = sim.walker
@@ -221,17 +220,16 @@ def run_fast(sim, state) -> None:
                             l1_stats.hits += q
                             for b in reversed(from_keys(
                                     reversed(seg_blocks))):
-                                slot = l1_index[b]
                                 order = l1_orders[b & l1_mask]
-                                if order[-1] != slot:
-                                    order.remove(slot)
-                                    order.append(slot)
+                                if order[-1] != b:
+                                    order.remove(b)
+                                    order.append(b)
                             if prefetch_on and nl_outstanding:
                                 for b in filter(nl_has, seg_blocks):
                                     nl_outstanding[b] = True
                             for b in _compress(seg_blocks,
                                                writes[index:index + q]):
-                                l1_dirty[l1_index[b]] = 1
+                                l1_index[b] |= DIRTY
                             now = _reduce(_add, batch_pairs[:2 * q], now)
                             if index >= warmup_end:
                                 measured += q
@@ -248,16 +246,15 @@ def run_fast(sim, state) -> None:
                                 is_write = writes[index]
                                 if prefetch_on and block in nl_outstanding:
                                     nl_outstanding[block] = True
-                                slot = l1_index_get(block)
                                 l1_stats.total += 1
-                                if slot is not None:
+                                if block in l1_index:
                                     l1_stats.hits += 1
                                     order = l1_orders[block & l1_mask]
-                                    if order[-1] != slot:
-                                        order.remove(slot)
-                                        order.append(slot)
+                                    if order[-1] != block:
+                                        order.remove(block)
+                                        order.append(block)
                                     if is_write:
-                                        l1_dirty[slot] = 1
+                                        l1_index[block] |= DIRTY
                                     stall += lat_l1
                                 else:
                                     del writebacks[:]
@@ -360,16 +357,15 @@ def run_fast(sim, state) -> None:
                 is_write = writes[index]
                 if prefetch_on and block in nl_outstanding:
                     nl_outstanding[block] = True
-                slot = l1_index_get(block)
                 l1_stats.total += 1
-                if slot is not None:
+                if block in l1_index:
                     l1_stats.hits += 1
                     order = l1_orders[block & l1_mask]
-                    if order[-1] != slot:
-                        order.remove(slot)
-                        order.append(slot)
+                    if order[-1] != block:
+                        order.remove(block)
+                        order.append(block)
                     if is_write:
-                        l1_dirty[slot] = 1
+                        l1_index[block] |= DIRTY
                     stall += lat_l1
                 else:
                     del writebacks[:]

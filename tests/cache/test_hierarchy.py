@@ -116,14 +116,6 @@ def test_mark_compressed_and_served_flag():
     assert result.served_compressed
 
 
-def test_resident_line_and_invalidate_everywhere():
-    h = tiny_hierarchy()
-    h.access(addr(9))
-    assert h.resident_line(addr(9)) is not None
-    h.invalidate_everywhere(addr(9))
-    assert h.resident_line(addr(9)) is None
-
-
 def test_prefetch_brings_next_line_into_l2():
     h = tiny_hierarchy(prefetch=True)
     h.access(addr(100))

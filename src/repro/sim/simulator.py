@@ -352,7 +352,9 @@ class Simulator:
 
         With ``fast_path`` "auto" (the default) an unobserved,
         unsupervised run takes the zero-observer loop instead -- same
-        results, bit for bit, at a fraction of the host cost.
+        results, bit for bit, at a fraction of the host cost.  That loop
+        keeps its TLB/walk/cache pass on the workload, so a later fresh
+        simulator on the same workload replays only its controller.
         """
         trace = self.workload.trace
         state = self._run_state

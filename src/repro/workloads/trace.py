@@ -7,8 +7,8 @@ benchmark and Python attribute access would dominate the runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 #: One memory access: (virtual byte address, is_write).
 Access = Tuple[int, bool]
@@ -25,6 +25,13 @@ class Workload:
     ``content`` maps a vpn to that page's 4 KB of bytes; the compression
     controllers call it when a page first migrates to ML2 and cache the
     result, so content is synthesized lazily.
+
+    The fast replay loop keeps one front-end recording on the workload
+    (:class:`repro.sim.fastpath.FrontEndRecording`): the TLB, walk and
+    cache pass of its trace, which every controller would repeat
+    identically.  It lives and dies with this object, is replaced when a
+    run needs a differently shaped front end, and is never pickled.  The
+    trace is treated as immutable once the workload is built.
     """
 
     name: str
@@ -35,6 +42,13 @@ class Workload:
     description: str = ""
     #: vpn of the first mapped page (regions are contiguous from here).
     base_vpn: int = 0
+    _front_end: Optional[object] = field(default=None, init=False,
+                                         repr=False, compare=False)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_front_end"] = None
+        return state
 
     def touched_vpns(self) -> List[int]:
         """Distinct virtual pages the trace touches, in first-touch order."""

@@ -279,6 +279,21 @@ def test_tmcc_embedded_coverage_metric(system, dram, graph_model):
     assert controller.embedded_coverage == pytest.approx(0.5)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug: TMCCController.__init__ does not pass its seed on, so "
+    "recency sampling uses DeterministicRNG(0 ^ 0xEC) for every seed; "
+    "fixing it re-pins the TMCC fingerprints in perfbench/expected.json"))
+def test_tmcc_recency_sampling_follows_the_seed(system):
+    from repro.dram.system import DRAMSystem
+
+    draws = []
+    for seed in (1, 2):
+        controller = TMCCController(system, DRAMSystem(), seed=seed)
+        rng = controller.recency._rng
+        draws.append([rng.random() for _ in range(8)])
+    assert draws[0] != draws[1]
+
+
 def test_fastml2_is_serial_but_fast(system, graph_model):
     """The Figure 20 ablation point: OS-inspired translation (serial CTE
     fetch, no embedded CTEs) but the memory-specialized Deflate for ML2."""

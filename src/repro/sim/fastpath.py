@@ -25,11 +25,11 @@ per-access object graph (``AccessResult``, ``MissResult``,
 
 No controller touches the TLB, the walker or the caches, so the front end
 of a trace is the same under every controller.  A fresh simulator's
-recording is kept on its :class:`~repro.workloads.trace.Workload` -- one
-per workload, living and dying with that object -- and the next fresh
-simulator on the same workload skips the front-end pass when the
-recording's key (seed, page size, TLB entries, cache configuration,
-warm-up point, trace length) and translation map match its own.  A
+recording is kept on its :class:`~repro.sim.space.AddressSpace` -- the
+page table and translation it walked, shared by every simulator on the
+workload -- and the next fresh simulator on the same space skips the
+front-end pass when the recording's key (TLB entries, cache
+configuration, warm-up point, trace length) matches its own.  A
 simulator whose front end is already warm (a second ``run()``) runs both
 passes and neither reads nor writes the recording.
 
@@ -73,8 +73,6 @@ class FrontEndRecording(NamedTuple):
     """One front-end pass over a trace, replayable under any controller."""
 
     key: tuple          # see _key
-    trace: list         # the trace it replayed (compared by identity)
-    translation: dict   # vpn -> ppn map the pass used
     codes: bytearray    # per access: a hit level, _UNMAPPED or _EVENTS
     kinds: bytearray    # ops of the _EVENTS accesses, each closed by _END
     args: array         # the args of the ops of kind _MISS and above
@@ -88,15 +86,15 @@ def run_fast(sim, state) -> None:
     progress, sim counters, every component) and returns nothing; the
     caller builds the result exactly as for a slow run.
     """
-    workload = sim.workload
+    space = sim.space
     fresh = state.index == 0 and _cold(sim)
-    recording = workload._front_end if fresh else None
-    reused = recording is not None and _fits(recording, sim,
-                                             state.warmup_end)
+    recording = space.front_end if fresh else None
+    reused = (recording is not None
+              and recording.key == _key(sim, state.warmup_end))
     if not reused:
         recording = _front_end_pass(sim, state)
         if fresh:
-            workload._front_end = recording
+            space.front_end = recording
     try:
         _back_end_pass(sim, state, recording)
     finally:
@@ -112,22 +110,10 @@ def run_fast(sim, state) -> None:
 # ----------------------------------------------------------------------
 
 def _key(sim, warmup_end: int) -> tuple:
-    """Everything besides the trace and translation that shapes the
-    front end: the seed builds the page table."""
-    return (sim.context.seed, sim.huge_pages, sim.system.tlb_entries,
-            sim.hierarchy.config, warmup_end, len(sim.workload.trace))
-
-
-def _fits(recording: FrontEndRecording, sim, warmup_end: int) -> bool:
-    """True when ``sim``'s own front-end pass would record ``recording``."""
-    if (recording.key != _key(sim, warmup_end)
-            or recording.trace is not sim.workload.trace):
-        return False
-    if sim.huge_pages:
-        translate = sim._translate_vpn
-        return all(translate(vpn) == ppn
-                   for vpn, ppn in recording.translation.items())
-    return recording.translation == sim._vpn_to_ppn
+    """Everything besides the address space that shapes the front end
+    (the space holds the recording, so it always matches)."""
+    return (sim.system.tlb_entries, sim.hierarchy.config, warmup_end,
+            len(sim.workload.trace))
 
 
 def _cold(sim) -> bool:
@@ -219,18 +205,12 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
     """Replay the front end from ``state.index``, recording the stream."""
     trace = sim.workload.trace
     n = len(trace)
-    huge_pages = sim.huge_pages
-    vpns, tags, blocks, writes = trace_columns(trace, huge_pages)
+    vpns, tags, blocks, writes = trace_columns(trace, sim.huge_pages)
 
     # Global-block column: ppn * 64 + block_index, or -1 for unmapped
-    # vpns.  Translation is static while a run is in flight (same
-    # invariant the walk-path memo below relies on), so the whole column
-    # is precomputed once.
-    if huge_pages:
-        memo = {v: sim._translate_vpn(v) for v in set(vpns)}
-    else:
-        memo = sim._vpn_to_ppn
-    memo_get = memo.get
+    # vpns.  Translation is static (same invariant the walk-path memo
+    # below relies on), so the whole column is precomputed once.
+    memo_get = sim.space.translation.get
     gblocks = [-1 if (p := memo_get(v)) is None else p * 64 + b
                for v, b in zip(vpns, blocks)]
     del blocks
@@ -487,8 +467,8 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
     sim._tlb_misses = tlb_misses
     sim._l3_data_misses = l3_data_misses
     end_state = (_save_contents(sim), _save(_stat_parts(sim)))
-    return FrontEndRecording(_key(sim, warmup_end), trace, memo, codes,
-                             kinds, args, end_state)
+    return FrontEndRecording(_key(sim, warmup_end), codes, kinds, args,
+                             end_state)
 
 
 # ----------------------------------------------------------------------

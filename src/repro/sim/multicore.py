@@ -38,7 +38,8 @@ from repro.core.config import SystemConfig
 from repro.dram.system import DRAMSystem
 from repro.sim.context import SimContext
 from repro.sim.results import SimResult
-from repro.vm.pagetable import FrameAllocator, PageTable, PageTablePopulator
+from repro.sim.space import address_space
+from repro.vm.pagetable import PageTable
 from repro.vm.tlb import TLB
 from repro.vm.walker import PageWalker
 from repro.workloads.trace import Workload
@@ -82,14 +83,11 @@ class MultiCoreSimulator:
         self.controller_name = controller
         self.system = self.context.system
 
-        total_frames = workload.footprint_pages * 4 + 4096
-        allocator = FrameAllocator(total_frames, self.context.rng("frames"))
-        self.table = PageTable(allocator)
-        populator = PageTablePopulator(self.table, allocator,
-                                       self.context.rng("populate"))
-        populator.populate_region(workload.base_vpn, workload.footprint_pages)
-        populator.finalize_noise()
-        self._vpn_to_ppn = dict(populator.mapped_pages)
+        # The single-core address space with warm placement (no drift),
+        # shared with any simulator of that shape on the workload.
+        self.space = address_space(workload, self.context, huge_pages=False,
+                                   placement_drift=0.0, virtualized=False)
+        self.table = self.space.table
 
         shared_l3 = SetAssociativeCache(self.system.cache.l3_size,
                                         self.system.cache.l3_assoc, "l3")
@@ -129,41 +127,14 @@ class MultiCoreSimulator:
             self.context.register("controller.cte_cache",
                                   self.controller.cte_cache)
 
-        data_ppns, hotness = self._hotness()
-        table_ppns = [page.ppn for page in self.table.table_pages()]
+        space = self.space
         if isinstance(self.controller, TwoLevelController):
-            self.controller.initialize(data_ppns, hotness, table_ppns,
-                                       self.model, dram_budget_bytes)
+            self.controller.initialize(space.data_ppns, space.hotness,
+                                       space.table_ppns, self.model,
+                                       dram_budget_bytes)
         else:
-            self.controller.initialize(data_ppns, hotness, table_ppns,
-                                       self.model)
-
-    def _hotness(self):
-        counts: Dict[int, int] = {}
-        for vaddr, _ in self.workload.trace:
-            vpn = vaddr >> 12
-            counts[vpn] = counts.get(vpn, 0) + 1
-        hotness: Dict[int, int] = {}
-        data_ppns = []
-        rank = 0
-        for vpn in sorted(counts, key=counts.get, reverse=True):
-            ppn = self._vpn_to_ppn.get(vpn)
-            if ppn is None:
-                continue
-            hotness[ppn] = rank
-            data_ppns.append(ppn)
-            rank += 1
-        for offset in range(self.workload.footprint_pages):
-            vpn = self.workload.base_vpn + offset
-            if vpn in counts:
-                continue
-            ppn = self._vpn_to_ppn.get(vpn)
-            if ppn is None:
-                continue
-            hotness[ppn] = rank
-            data_ppns.append(ppn)
-            rank += 1
-        return data_ppns, hotness
+            self.controller.initialize(space.data_ppns, space.hotness,
+                                       space.table_ppns, self.model)
 
     # ------------------------------------------------------------------
     # Execution
@@ -233,7 +204,7 @@ class MultiCoreSimulator:
                     level, ptb_address, self.table.ptb_at(ptb_address),
                     huge_leaf=False)
             core.tlb.fill(vpn)
-        ppn = self._vpn_to_ppn.get(vpn)
+        ppn = self.space.translation.get(vpn)
         if ppn is None:
             return stall
         paddr = ppn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1))

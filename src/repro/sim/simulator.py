@@ -23,7 +23,6 @@ decorating a class -- no simulator edits.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -43,7 +42,7 @@ from repro.sim.columns import decompose_vaddr
 from repro.sim.context import SimContext
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.results import SimResult
-from repro.vm.pagetable import FrameAllocator, PageTable, PageTablePopulator
+from repro.sim.space import address_space
 from repro.vm.tlb import TLB
 from repro.vm.walker import PageWalker
 from repro.workloads.trace import Workload
@@ -103,29 +102,15 @@ class Simulator:
         #: through a host page table (Figure 12b); TMCC harvests embedded
         #: CTEs from every *host* PTB fetch of each nested walk.
         self.virtualized = virtualized
-        #: Warm-up imperfection: the paper warms ML1/ML2 with ~1 s of
-        #: atomic simulation, so placement reflects the working set *minus
-        #: a little drift* between warm-up and the measured window.  A
-        #: ``placement_drift`` fraction of warm pages start cold in ML2,
-        #: producing the residual ML2 traffic Figure 21 reports.
+        #: Warm-up imperfection: a ``placement_drift`` fraction of warm
+        #: pages start cold in ML2 (see :mod:`repro.sim.space`).
         self.placement_drift = placement_drift
-        self._placement_rng = self.context.rng("placement")
 
-        # -- virtual memory setup ---------------------------------------
-        total_frames = workload.footprint_pages * 4 + 4096
-        self.allocator = FrameAllocator(total_frames, self.context.rng("frames"))
-        self.table = PageTable(self.allocator)
-        populator = PageTablePopulator(self.table, self.allocator,
-                                       self.context.rng("populate"))
-        if huge_pages:
-            huge_count = -(-workload.footprint_pages // 512)
-            base = workload.base_vpn & ~0x1FF
-            populator.populate_huge_region(base, huge_count)
-            self._vpn_to_ppn = {}
-        else:
-            populator.populate_region(workload.base_vpn, workload.footprint_pages)
-            populator.finalize_noise()
-            self._vpn_to_ppn = dict(populator.mapped_pages)
+        # -- virtual memory: shared by every simulator on the workload --
+        self.space = address_space(workload, self.context, huge_pages,
+                                   placement_drift, virtualized)
+        self.table = self.space.table
+        self.host_table = self.space.host_table
 
         self.tlb = self.context.register(
             "tlb", TLB(entries=self.system.tlb_entries))
@@ -141,29 +126,11 @@ class Simulator:
         self.context.metrics.attach("cache.l3", self.hierarchy.l3.stats)
         self.dram = self.context.register("dram", DRAMSystem(self.system.dram))
 
-        # -- virtualization: a host page table behind the guest's --------
-        self.host_table: Optional[PageTable] = None
+        # -- virtualization: nested walks through the host page table ----
         self.nested_walker = None
-        self._gfn_to_host: Dict[int, int] = {}
         if virtualized:
             from repro.vm.nested import NestedPageWalker
 
-            guest_frames = sorted(
-                set(self._vpn_to_ppn.values())
-                | {page.ppn for page in self.table.table_pages()}
-            )
-            host_allocator = FrameAllocator(
-                (max(guest_frames) + 1) * 2 + 4096,
-                self.context.rng("host_frames"),
-            )
-            self.host_table = PageTable(host_allocator)
-            host_populator = PageTablePopulator(
-                self.host_table, host_allocator,
-                self.context.rng("host_populate"),
-            )
-            host_populator.populate_region(0, max(guest_frames) + 1)
-            host_populator.finalize_noise()
-            self._gfn_to_host = dict(host_populator.mapped_pages)
             self.nested_walker = self.context.register(
                 "nested_walker", NestedPageWalker(self.table, self.host_table))
 
@@ -196,24 +163,15 @@ class Simulator:
             self.context.metrics.attach("controller.migration.stall_ns",
                                         migration.stall_ns)
 
-        data_ppns, hotness = self._data_pages_and_hotness()
-        if self.virtualized:
-            # Pinned pages: the host's own table pages plus the host
-            # frames backing the guest's table pages (both are walked).
-            table_ppns = [page.ppn for page in self.host_table.table_pages()]
-            table_ppns += [
-                self._gfn_to_host[page.ppn]
-                for page in self.table.table_pages()
-                if page.ppn in self._gfn_to_host
-            ]
-        else:
-            table_ppns = [page.ppn for page in self.table.table_pages()]
+        space = self.space
         if isinstance(self.controller, TwoLevelController):
-            self.controller.initialize(data_ppns, hotness, table_ppns,
-                                       self.model, dram_budget_bytes)
+            self.controller.initialize(space.data_ppns, space.hotness,
+                                       space.table_ppns, self.model,
+                                       dram_budget_bytes)
             self.context.metrics.attach("controller.ml2", self._ml2_metrics)
         else:
-            self.controller.initialize(data_ppns, hotness, table_ppns, self.model)
+            self.controller.initialize(space.data_ppns, space.hotness,
+                                       space.table_ppns, self.model)
 
         # -- resilience: fault injection + graceful degradation ---------
         #: With a fault plan (or ``resilience=True``) the controller's
@@ -283,42 +241,6 @@ class Simulator:
         }
 
     # ------------------------------------------------------------------
-    # Setup helpers
-    # ------------------------------------------------------------------
-
-    def _data_pages_and_hotness(self):
-        # Counter keeps first-touch order, so equally hot pages keep it.
-        counts = Counter([vaddr >> 12 for vaddr, _ in self.workload.trace])
-        ranked_vpns = sorted(counts, key=counts.get, reverse=True)
-        # Warm-up drift: a few warm pages turned cold before the measured
-        # window (or were sampled unluckily by the 1% recency updates);
-        # they start behind even the never-touched pages and hence in ML2.
-        chance = self._placement_rng.chance
-        drifted = [vpn for vpn in ranked_vpns if chance(self.placement_drift)]
-        drifted_set = set(drifted)
-        base = self.workload.base_vpn
-        placement = [vpn for vpn in ranked_vpns if vpn not in drifted_set]
-        placement += [vpn for vpn in range(base, base + self.workload.footprint_pages)
-                      if vpn not in counts]
-        placement += drifted
-        translate = self._translate_vpn
-        # Trace addresses outside the mapped footprint translate to None.
-        data_ppns = [ppn for ppn in map(translate, placement) if ppn is not None]
-        hotness = {ppn: rank for rank, ppn in enumerate(data_ppns)}
-        return data_ppns, hotness
-
-    def _translate_vpn(self, vpn: int) -> Optional[int]:
-        """vpn -> the *machine-physical* frame data lives in."""
-        if self.huge_pages:
-            return self.table.translate(vpn)
-        guest_ppn = self._vpn_to_ppn.get(vpn)
-        if guest_ppn is None:
-            return None
-        if self.virtualized:
-            return self._gfn_to_host.get(guest_ppn)
-        return guest_ppn
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
 
@@ -353,8 +275,9 @@ class Simulator:
         With ``fast_path`` "auto" (the default) an unobserved,
         unsupervised run takes the zero-observer loop instead -- same
         results, bit for bit, at a fraction of the host cost.  That loop
-        keeps its TLB/walk/cache pass on the workload, so a later fresh
-        simulator on the same workload replays only its controller.
+        keeps its TLB/walk/cache pass on the workload's address space, so a
+        later fresh simulator on the same workload replays only its
+        controller.
         """
         trace = self.workload.trace
         state = self._run_state
@@ -466,7 +389,7 @@ class Simulator:
                 tracer.end(walk_span, self.clock.now_ns + stall_ns)
             self.tlb.fill(tag)
 
-        ppn = self._translate_vpn(vpn)
+        ppn = self.space.translation.get(vpn)
         if ppn is None:
             return stall_ns
         paddr = ppn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1))

@@ -7,14 +7,13 @@ page-walk cache modeled after [23].
 
 Both stores are columnar: an :class:`repro.common.lru.IntLRU` (flat
 parallel key/prev/next columns, O(1) exact LRU) replaces the
-``OrderedDict`` per structure.  ``ReferenceTLB`` keeps the original
-``OrderedDict`` implementation as the readable spec and the oracle for
-the differential property tests.
+``OrderedDict`` per structure.  The original ``OrderedDict`` TLB lives on
+as the readable spec and differential-test oracle in
+``tests/oracles/tlb.py``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict
 
 from repro.common.lru import IntLRU
@@ -61,46 +60,6 @@ class TLB:
 
     def invalidate(self, tag: int) -> None:
         self._lru.discard(tag)
-
-    def flush(self) -> None:
-        self._lru.clear()
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._lru)
-
-
-class ReferenceTLB:
-    """The original ``OrderedDict`` TLB (spec + differential oracle)."""
-
-    def __init__(self, entries: int = 2048, name: str = "tlb") -> None:
-        if entries <= 0:
-            raise ValueError("TLB needs at least one entry")
-        self.entries = entries
-        self._lru: "OrderedDict[int, int]" = OrderedDict()
-        self.stats = RatioStat(name)
-
-    def lookup(self, tag: int) -> bool:
-        hit = tag in self._lru
-        self.stats.record(hit)
-        if hit:
-            self._lru.move_to_end(tag)
-        return hit
-
-    def contains(self, tag: int) -> bool:
-        return tag in self._lru
-
-    def fill(self, tag: int, ppn: int = 0) -> None:
-        if tag in self._lru:
-            self._lru.move_to_end(tag)
-            self._lru[tag] = ppn
-            return
-        if len(self._lru) >= self.entries:
-            self._lru.popitem(last=False)
-        self._lru[tag] = ppn
-
-    def invalidate(self, tag: int) -> None:
-        self._lru.pop(tag, None)
 
     def flush(self) -> None:
         self._lru.clear()

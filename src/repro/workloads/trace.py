@@ -26,12 +26,13 @@ class Workload:
     controllers call it when a page first migrates to ML2 and cache the
     result, so content is synthesized lazily.
 
-    The fast replay loop keeps one front-end recording on the workload
-    (:class:`repro.sim.fastpath.FrontEndRecording`): the TLB, walk and
-    cache pass of its trace, which every controller would repeat
-    identically.  It lives and dies with this object, is replaced when a
-    run needs a differently shaped front end, and is never pickled.  The
-    trace is treated as immutable once the workload is built.
+    Simulators share one address space per workload
+    (:class:`repro.sim.space.AddressSpace`): the populated page table,
+    the translation and the warm placement, which every controller would
+    build identically, and the fast loop's front-end recording, which it
+    owns.  It lives and dies with this object, is replaced when a
+    simulator needs a differently shaped one, and is never pickled.  The
+    workload is treated as immutable once built.
     """
 
     name: str
@@ -42,12 +43,12 @@ class Workload:
     description: str = ""
     #: vpn of the first mapped page (regions are contiguous from here).
     base_vpn: int = 0
-    _front_end: Optional[object] = field(default=None, init=False,
-                                         repr=False, compare=False)
+    _space: Optional[object] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_front_end"] = None
+        state["_space"] = None
         return state
 
     def touched_vpns(self) -> List[int]:

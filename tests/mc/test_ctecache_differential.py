@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import KIB
-from repro.mc.ctecache import CTECache, ReferenceCTECache
+from repro.mc.ctecache import CTECache
+from tests.oracles.ctecache import ReferenceCTECache
 
 # Two blocks' worth of capacity at 1 KiB keeps evictions constant.
 SIZE_BYTES = 1 * KIB

@@ -1,12 +1,12 @@
 """The fast loop's recorded front end: reuse, end state, invalidation.
 
 ``repro.sim.fastpath`` runs the TLB, page walk and caches once per
-trace and keeps the recording on the workload; a later fresh simulator
-on the same workload replays only its memory controller.  These tests
-pin that reuse to the frozen goldens (byte for byte, whichever
-controller recorded), check that a reused run leaves the front end
-exactly as a fresh run would, and that anything shaping the front end
-differently forces a new recording.
+trace and keeps the recording on the workload's shared address space;
+a later fresh simulator on the same workload replays only its memory
+controller.  These tests pin that reuse to the frozen goldens (byte for
+byte, whichever controller recorded), check that a reused run leaves the
+front end exactly as a fresh run would, and that anything shaping the
+front end or the address space differently forces a new recording.
 """
 
 import dataclasses
@@ -34,9 +34,9 @@ from tests.sim.test_frozen_goldens import (
 
 def _record(workload, controller, **kwargs):
     """Replace ``workload``'s recording with one made by ``controller``."""
-    workload._front_end = None
+    workload._space = None
     Simulator(workload, controller=controller, seed=3, **kwargs).run()
-    recording = workload._front_end
+    recording = workload._space.front_end
     assert recording is not None
     return recording
 
@@ -69,7 +69,7 @@ def test_reused_front_end_matches_frozen_goldens(order):
         recording = _record(workload, recorder,
                             huge_pages=kwargs.get("huge_pages", False))
         document = _emit_json(workload, controller, **kwargs)
-        assert workload._front_end is recording, f"{name}: not reused"
+        assert workload._space.front_end is recording, f"{name}: not reused"
         assert document == (GOLDEN_DIR / name).read_bytes(), (
             f"{name} differs after {recorder} recorded the front end")
 
@@ -106,7 +106,7 @@ def test_reused_run_leaves_the_front_end_of_a_fresh_run(huge_pages):
     reused = Simulator(shared, controller="tmcc", seed=3,
                        huge_pages=huge_pages)
     reused_result = reused.run()
-    assert shared._front_end is recording
+    assert shared._space.front_end is recording
     fresh = Simulator(_small(), controller="tmcc", seed=3,
                       huge_pages=huge_pages)
     fresh_result = fresh.run()
@@ -144,7 +144,7 @@ def test_second_run_is_the_same_either_way(front_end_passes):
     assert front_end_passes == []  # fresh: reused
     second = reused.run()
     assert front_end_passes == [reused]  # warm: no reuse
-    assert shared._front_end is recording  # warm: no recording
+    assert shared._space.front_end is recording  # warm: no recording
 
     fresh = Simulator(_small(), controller="tmcc", seed=3)
     assert fresh.run().as_dict() == first.as_dict()
@@ -184,21 +184,36 @@ def test_differently_shaped_front_end_is_not_reused(variant,
     del front_end_passes[:]
     changed = run(shared)
     assert len(front_end_passes) == 1
-    assert shared._front_end is not recording
+    assert shared._space.front_end is not recording
     assert changed == run(_small(), fast_path="off")
 
 
-def test_different_translation_is_not_reused(front_end_passes):
+@pytest.mark.parametrize("variant", [
+    {},
+    {"placement_drift": 0.1},
+    {"virtualized": True},
+], ids=["rebuilt", "placement_drift", "virtualized"])
+def test_different_address_space_is_not_reused(variant, front_end_passes):
+    """A recording is found only on the address space it walked; a run on
+    any other space (rebuilt, or differently shaped) gives a fresh
+    workload's document byte for byte."""
     shared = _small()
     recording = _record(shared, "compresso")
-    sim = Simulator(shared, controller="tmcc", seed=3)
-    vpn = next(iter(sim._vpn_to_ppn))
-    sim._vpn_to_ppn = dict(sim._vpn_to_ppn)
-    sim._vpn_to_ppn[vpn] += 1
+    space = shared._space
+    if not variant:
+        shared._space = None  # an equal space, built again
     del front_end_passes[:]
-    sim.run()
-    assert front_end_passes == [sim]
-    assert shared._front_end is not recording
+    document = _emit_json(shared, "tmcc", **variant)
+    assert shared._space is not space
+    assert space.front_end is recording
+    if variant.get("virtualized"):
+        assert front_end_passes == []  # observed loop: no recording
+        assert shared._space.front_end is None
+    else:
+        assert len(front_end_passes) == 1
+        assert shared._space.front_end is not None
+        assert shared._space.front_end is not recording
+    assert document == _emit_json(_small(), "tmcc", **variant)
 
 
 @pytest.mark.parametrize("observed", ["slow", "traced", "virtualized"])
@@ -206,6 +221,7 @@ def test_observed_runs_never_touch_the_recording(observed,
                                                  front_end_passes):
     shared = _small()
     recording = _record(shared, "compresso")
+    space = shared._space
     del front_end_passes[:]
     sim = Simulator(shared, controller="tmcc", seed=3,
                     fast_path="off" if observed == "slow" else "auto",
@@ -214,13 +230,27 @@ def test_observed_runs_never_touch_the_recording(observed,
         sim.attach_tracer(SpanTracer(sample_every=7))
     sim.run()
     assert front_end_passes == []
-    assert shared._front_end is recording
+    assert space.front_end is recording
+    # A virtualized run has an address space of its own.
+    assert (sim.space is space) == (observed != "virtualized")
+
+
+def test_pickled_workload_arrives_without_its_address_space():
+    """Worker hand-offs carry the workload, not its address space."""
+    shared = _small()
+    _record(shared, "compresso")
+    assert pickle.loads(pickle.dumps(shared))._space is None
+    assert shared._space is not None
 
 
 def test_recording_is_not_pickled():
-    """Checkpoints and worker hand-offs carry the workload, not its
-    recording."""
+    """A checkpointed simulator carries its address space, never the
+    space's recording."""
     shared = _small()
     _record(shared, "compresso")
-    assert pickle.loads(pickle.dumps(shared))._front_end is None
-    assert shared._front_end is not None
+    sim = Simulator(shared, controller="tmcc", seed=3)
+    restored = pickle.loads(pickle.dumps(sim))
+    assert restored.space.front_end is None
+    assert restored.space.data_ppns == sim.space.data_ppns
+    assert restored.table is restored.space.table
+    assert shared._space.front_end is not None

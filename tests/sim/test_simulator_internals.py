@@ -26,26 +26,32 @@ def test_zero_warmup_counts_everything(workload):
     assert result.accesses == workload.access_count
 
 
-def test_placement_drift_moves_warm_pages_to_ml2(workload):
-    none = Simulator(workload, controller="tmcc", placement_drift=0.0,
-                     dram_budget_bytes=None, seed=3)
-    lots = Simulator(workload, controller="tmcc", placement_drift=0.3,
-                     dram_budget_bytes=None, seed=3)
+def _fresh_space(**kwargs):
+    """The address space of a simulator on a workload of its own."""
+    fresh = workload_by_name("omnetpp", max_accesses=12_000, scale=0.06)
+    return Simulator(fresh, controller="tmcc", **kwargs).space
+
+
+def test_placement_drift_moves_warm_pages_to_ml2():
+    none = _fresh_space(placement_drift=0.0, seed=3)
+    lots = _fresh_space(placement_drift=0.3, seed=3)
+    assert none is not lots
     # With no budget pressure everything fits in ML1 either way; compare
     # hotness ordering instead: drift demotes some warm pages below the
     # untouched ones.
-    _, hotness_none = none._data_pages_and_hotness()
-    _, hotness_lots = lots._data_pages_and_hotness()
-    assert hotness_none.keys() == hotness_lots.keys()
-    moved = sum(1 for ppn in hotness_none
-                if hotness_none[ppn] != hotness_lots[ppn])
+    assert none.hotness.keys() == lots.hotness.keys()
+    moved = sum(1 for ppn in none.hotness
+                if none.hotness[ppn] != lots.hotness[ppn])
     assert moved > 0
 
 
-def test_placement_drift_is_seeded(workload):
-    a = Simulator(workload, controller="tmcc", seed=9)
-    b = Simulator(workload, controller="tmcc", seed=9)
-    assert a._data_pages_and_hotness()[1] == b._data_pages_and_hotness()[1]
+def test_placement_drift_is_seeded():
+    a = _fresh_space(seed=9)
+    b = _fresh_space(seed=9)
+    assert a is not b
+    assert a.hotness == b.hotness
+    assert a.data_ppns == b.data_ppns
+    assert a.hotness != _fresh_space(seed=10).hotness
 
 
 def test_fig5_classification_counts_walk_misses(workload):

@@ -8,7 +8,8 @@ on which entry each capacity eviction displaces.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.vm.tlb import ReferenceTLB, TLB
+from repro.vm.tlb import TLB
+from tests.oracles.tlb import ReferenceTLB
 
 # 8 entries and ~24 tags: every sequence churns through evictions.
 ENTRIES = 8

@@ -93,7 +93,6 @@ def host_metadata() -> Dict[str, object]:
 def run_suite(
     accesses: int = BENCH_ACCESSES,
     workloads: Sequence[str] = BENCH_WORKLOADS,
-    fast_path: str = "auto",
     seed: int = BENCH_SEED,
     system: Optional[SystemConfig] = None,
     progress: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -121,7 +120,7 @@ def run_suite(
             start = time.perf_counter()
             result = run_workload(workload, controller, system,
                                   dram_budget_bytes=budget, seed=seed,
-                                  model=model, fast_path=fast_path)
+                                  model=model)
             elapsed = time.perf_counter() - start
             if controller == "compresso":
                 budget = result.dram_used_bytes
@@ -143,7 +142,6 @@ def run_suite(
         "date": date.today().isoformat(),
         "accesses": accesses,
         "seed": seed,
-        "fast_path": fast_path,
         "host": host_metadata(),
         "suite_accesses": total,
         "suite_elapsed_s": round(suite_elapsed, 2),

@@ -308,8 +308,6 @@ def _validate_run_args(args: argparse.Namespace) -> Optional[str]:
         return "--faults only supports single-core runs"
     if args.cores > 1 and (args.checkpoint or args.wall_clock_limit):
         return "--checkpoint/--wall-clock-limit only support single-core runs"
-    if args.cores > 1 and args.fast_path == "on":
-        return "--fast-path on only supports single-core runs"
     return None
 
 
@@ -363,7 +361,6 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
                 print(f"note: resuming from {args.resume}; "
                       f"workload argument ignored", file=sys.stderr)
             sim = load_checkpoint(args.resume)
-            sim.fast_path = args.fast_path
             controller_name = sim.controller_name
         else:
             from repro.sim.multicore import MultiCoreSimulator
@@ -388,8 +385,7 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
                     context.enable_profiling()
                 sim = Simulator(workload, controller=args.controller,
                                 seed=args.seed, fault_plan=plan,
-                                context=context,
-                                fast_path=args.fast_path)
+                                context=context)
     except BaseException:
         if event_writer is not None:
             event_writer.close()
@@ -1098,7 +1094,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   f"{record['accesses_per_s']:,.0f} acc/s", flush=True)
 
         document = run_suite(accesses=args.accesses, workloads=workloads,
-                             fast_path=args.fast_path, seed=args.seed,
+                             seed=args.seed,
                              progress=show)
     except ConfigError as error:
         print(f"error (config): {error}", file=sys.stderr)
@@ -1184,7 +1180,16 @@ def build_parser() -> argparse.ArgumentParser:
     deflate.add_argument("--seed", type=int, default=1)
 
     run = commands.add_parser(
-        "run", help="simulate one workload under one controller")
+        "run", help="simulate one workload under one controller",
+        description="Simulate one workload under one controller.  The "
+                    "observers (--trace-out, --trace-events, --interval-ns, "
+                    "--profile, checkpoints, the wall-clock watchdog) and "
+                    "--faults are hooks on the one replay loop an "
+                    "unobserved run takes; observers never change the "
+                    "simulated results.  --interval-ns, "
+                    "--checkpoint-every, --wall-clock-limit and --profile "
+                    "replay the trace in segments, so the front end never "
+                    "runs ahead of what they read.")
     run.add_argument("workload", nargs="?",
                      help="workload name (omit with --controller list)")
     run.add_argument("--controller", default="tmcc",
@@ -1216,15 +1221,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--interval-out", metavar="PATH",
                      help="write the time series: .csv or JSONL by "
                           "extension")
-    run.add_argument("--fast-path", choices=("auto", "on", "off"),
-                     default="auto",
-                     help="zero-observer replay loop: 'auto' takes it "
-                          "whenever eligible, 'on' demands it (config "
-                          "error when observers force the slow loop), "
-                          "'off' always runs the instrumented loop")
     run.add_argument("--profile", action="store_true",
-                     help="measure host wall-clock self-time per section "
-                          "(adds profile.* metrics; non-deterministic)")
+                     help="measure host wall-clock self-time of the "
+                          "replay's front-end and back-end passes and the "
+                          "controller's miss service over the measured "
+                          "region (adds profile.* metrics; "
+                          "non-deterministic)")
     run.add_argument("--faults", metavar="SPEC",
                      help="inject deterministic faults: comma-separated "
                           "kind[:rate[:burst]][@start-end] "
@@ -1405,10 +1407,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--workloads", metavar="CSV",
                        help="comma-separated subset of the pinned "
                             "workloads (default: all seven)")
-    bench.add_argument("--fast-path", choices=("auto", "on", "off"),
-                       default="auto",
-                       help="which replay loop the suite times "
-                            "(default: auto)")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--out", metavar="PATH",
                        help="output document "

@@ -120,20 +120,6 @@ class MemoryController:
         """
         self._probe = probe
 
-    def _timed(self, section: str):
-        """Host-profiling guard: ``with self._timed("serve_miss"): ...``.
-
-        Free unless a probe with an armed profiler is attached (the
-        shared no-op timer is returned otherwise), so the hot path pays
-        nothing on default runs.
-        """
-        probe = self._probe
-        if probe is None:
-            from repro.sim.profile import NULL_TIMER
-
-            return NULL_TIMER
-        return probe.timed(section)
-
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
@@ -210,19 +196,18 @@ class MemoryController:
     # service: DRAM traffic, stat mutations, stage accounting, and (with
     # an event subscriber) the ``access_path``/``stage`` events.  It
     # returns the span tuples of ``repro.core.pipeline`` instead of
-    # objects, so the zero-observer replay loop calls it directly;
-    # ``serve_l3_miss`` is the observed view of the same call.
+    # objects, so the replay loop calls it directly; ``serve_l3_miss``
+    # (the multi-core engine's entry) returns the same call as objects.
 
     def serve_l3_miss(self, ppn: int, block_index: int, now_ns: float,
                       is_write: bool = False) -> MissResult:
         """Serve an LLC miss for block ``block_index`` of page ``ppn``.
 
-        Same service as :meth:`serve_l3_miss_fast`, timed under the
-        ``serve_miss`` profiler section and returned with its timeline.
+        Same service as :meth:`serve_l3_miss_fast`, returned with its
+        timeline.
         """
-        with self._timed("serve_miss"):
-            latency, path, spans = self.serve_l3_miss_fast(
-                ppn, block_index, now_ns, is_write)
+        latency, path, spans = self.serve_l3_miss_fast(
+            ppn, block_index, now_ns, is_write)
         return MissResult(latency, path, in_ml2=path == PATH_ML2,
                           timeline=ServiceTimeline.from_spans(
                               now_ns, latency, spans))

@@ -1,4 +1,4 @@
-"""Shared virtual-address decomposition for both replay loops.
+"""Virtual-address decomposition for the replay loop.
 
 One access record ``(vaddr, is_write)`` splits into:
 
@@ -8,10 +8,10 @@ One access record ``(vaddr, is_write)`` splits into:
 - ``block_index`` -- the 64 B block within the page,
   ``(vaddr & 0xFFF) >> 6``.
 
-The instrumented loop (``Simulator._one_access``) decomposes one access
-at a time via :func:`decompose_vaddr`; the fast loop pre-splits the
-whole trace into columns via :func:`trace_columns`.  Both spellings are
-defined here, once, so they cannot drift apart.
+:func:`decompose_vaddr` spells the split for one access;
+:func:`trace_columns` pre-splits a whole trace into columns for the
+replay loop's front-end pass.  Both spellings are defined here, side by
+side, so they cannot drift apart.
 
 ``trace_columns`` vectorizes with numpy when available (and not masked
 out via ``REPRO_NO_NUMPY``); addresses beyond int64 overflow

@@ -44,21 +44,15 @@ def run_workload(
     seed: int = 1,
     model: Optional[PageCompressionModel] = None,
     cores: int = 1,
-    fast_path: str = "auto",
 ) -> SimResult:
     """Run one (workload, controller) configuration end to end.
 
     ``cores > 1`` routes through the multi-core engine (Table III's
     4-core configuration); huge pages are a single-core-only knob.
-    ``fast_path`` is the :class:`Simulator` knob (auto/on/off); the
-    multi-core engine is never fast-path eligible (the cores share an
-    event bus), so ``"on"`` with ``cores > 1`` is rejected.
     """
     if cores > 1:
         if huge_pages:
             raise ValueError("huge_pages is only supported with cores=1")
-        if fast_path == "on":
-            raise ValueError("fast_path='on' is only supported with cores=1")
         from repro.sim.multicore import MultiCoreSimulator
 
         return MultiCoreSimulator(
@@ -74,8 +68,7 @@ def run_workload(
 
     record = execute_job(
         _cell(workload, controller, seed,
-              budget_bytes=dram_budget_bytes, huge_pages=huge_pages,
-              fast_path=fast_path),
+              budget_bytes=dram_budget_bytes, huge_pages=huge_pages),
         budget_bytes=dram_budget_bytes,
         workload=workload,
         system=system,
@@ -86,8 +79,7 @@ def run_workload(
 
 
 def _cell(workload: Workload, controller: str, seed: int,
-          budget_bytes: Optional[int] = None, huge_pages: bool = False,
-          fast_path: str = "auto"):
+          budget_bytes: Optional[int] = None, huge_pages: bool = False):
     """A free-standing matrix cell for one pre-built workload object."""
     from repro.sweep.spec import BudgetSpec, JobSpec
 
@@ -97,7 +89,7 @@ def _cell(workload: Workload, controller: str, seed: int,
         index=0, workload=workload.name, controller=controller,
         seed=seed, base_seed=seed, repeat=0, budget=budget, faults=None,
         accesses=len(workload.trace), scale=1.0, workload_seed=seed,
-        fast_path=fast_path, huge_pages=huge_pages,
+        huge_pages=huge_pages,
     )
 
 

@@ -1,44 +1,49 @@
-"""The zero-observer fast replay loop (``docs/performance.md``).
+"""The replay loop (``docs/performance.md``).
 
-:func:`run_fast` replays a workload trace with state transitions
-identical to ``Simulator.run`` + ``Simulator._one_access`` -- same stat
-mutations, same RNG draw sequence, same DRAM bank/queue evolution, same
-float accumulation order -- but with every observer hook removed and the
-per-access object graph (``AccessResult``, ``MissResult``,
-``ServiceTimeline``, ``ReadResult``) elided.  It runs in two passes:
+:func:`run_fast` replays a workload trace in two passes over each
+segment of the trace.  It elides the per-access object graph
+(``AccessResult``, ``MissResult``, ``ReadResult``) and runs the
+observers as hooks looked up once per pass, so an unobserved run pays
+nothing for them.
 
-* The **front-end pass** has no clock.  It runs the TLB, the page-walk
-  cache and walk, and L1-L3 with their prefetchers, and records what the
-  memory controller must see as a :class:`FrontEndRecording`: flat
-  columns holding each access's hit levels, whether its TLB missed, its
-  PTB fetches, LLC-miss blocks and dirty writebacks, in issue order, plus
-  the front end's end state.  The trace is preprocessed column-wise
-  (numpy when available); the TLB and the L1 probe are inlined and
-  batched; misses run through the entry points the observed loop wraps
-  (``CacheHierarchy.access_fast``/``access_fast_miss``).
+* The **front-end pass** has no clock.  It runs the TLB, the page walk
+  (native, or the 2D nested walk of a virtualized run) and L1-L3 with
+  their prefetchers, and records what the memory controller must see as
+  a :class:`FrontEndRecording`: per access a hit level or ``_EVENTS``,
+  and for each ``_EVENTS`` access its ops in issue order -- cache hit
+  levels, LLC-miss blocks, dirty writebacks, PTB fetches to harvest,
+  and a ``_WALKED`` marker ending a TLB miss's walk.  The trace is
+  preprocessed column-wise (numpy when available) once per run; the TLB
+  and the L1 probe are inlined and batched.
 * The **back-end pass** owns all time arithmetic.  It replays the
   recording through ``MemoryController.serve_l3_miss_fast``,
-  ``serve_writeback`` and ``note_ptb_fetch`` in the slow loop's float
-  order, resets statistics at the warm-up boundary, and finally loads the
-  recorded end state into the front end (in place: the metrics registry
-  keeps its stat objects).
+  ``serve_writeback`` and ``note_ptb_fetch``, and runs the hooks: the
+  fault injector's tick, the heartbeat, ``sim.tlb_miss`` events, and
+  the span tracer's access, ``page_walk`` and ``llc_miss`` spans.
 
-No controller touches the TLB, the walker or the caches, so the front end
-of a trace is the same under every controller.  A fresh simulator's
-recording is kept on its :class:`~repro.sim.space.AddressSpace` -- the
-page table and translation it walked, shared by every simulator on the
-workload -- and the next fresh simulator on the same space skips the
-front-end pass when the recording's key (TLB entries, cache
-configuration, warm-up point, trace length) matches its own.  A
-simulator whose front end is already warm (a second ``run()``) runs both
-passes and neither reads nor writes the recording.
+Segments.  Whatever reads the whole metrics registry mid-run must see
+the front end no further along than the back end, so the trace splits
+into segments ``[i, j)``, each a front-end pass then a back-end pass:
+one segment per access with a time-series recorder, segments ending at
+every multiple of a supervisor's strides (checkpoints, watchdog), and a
+segment boundary at the warm-up point under ``--profile``, whose totals
+cover the measured region like every other statistic.  Otherwise the
+run is one segment.  The warm-up reset happens inside a pass, or before
+a segment that starts at the warm-up point.
 
-Eligibility is gated by ``Simulator.fast_path_eligible`` (no tracer,
-timeseries recorder, profiler, fault injector, supervisor, bus
-subscriber, or virtualization); other runs never see a recording.  The
-frozen ``--emit-json`` goldens (``tests/sim/goldens``) and the
-fast-vs-slow comparison pin the contract: if the two loops ever diverge
-observably, that is a bug in this module.
+Recordings.  No controller touches the TLB, the walkers or the caches,
+so the front end of a trace is the same under every controller.  A
+fresh one-segment run keeps its recording on its
+:class:`~repro.sim.space.AddressSpace` (the tables and translation it
+walked, shared by every simulator on the workload), and the next fresh
+one-segment run on the same space skips the front-end pass when the
+recording's key (TLB entries, cache configuration, warm-up point, trace
+length) matches its own; it then loads the recorded end state into its
+front end.  A run whose front end is already warm (a second ``run()``, a
+resume) and a multi-segment run neither read nor write the recording.
+
+The frozen goldens (``tests/sim/goldens``) pin every observable output
+of this loop byte for byte.
 """
 
 from __future__ import annotations
@@ -47,15 +52,23 @@ from array import array
 from functools import reduce as _reduce
 from itertools import chain, compress as _compress, islice, repeat
 from operator import add as _add
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.cache.sa_cache import DIRTY
 from repro.common.lru import IntLRU
-from repro.core.base import MemoryController, PATH_CTE_HIT
+from repro.core.base import MemoryController, PATH_CTE_HIT, PATH_ML2
+from repro.core.pipeline import ServiceTimeline
 from repro.sim.columns import trace_columns
+from repro.sim.tracing import CATEGORY_WALK
+from repro.vm.nested import GUEST_FETCH
 
 #: Largest pre-classified chunk the batched front end will take at once.
 _MAX_CHUNK = 512
+
+#: A run supervisor's watchdog samples the wall clock, and its heartbeat
+#: fires, once per this many accesses -- cheap enough to leave on, coarse
+#: enough to stay off the hot path.
+WATCHDOG_STRIDE = 64
 
 # Per-access codes.  0-2: a TLB hit whose data access hit L1/L2/L3 and
 # wrote nothing back; its stall is that level's latency.
@@ -63,46 +76,112 @@ _UNMAPPED = 3  # a TLB hit on an unmapped vpn: no stall
 _EVENTS = 4    # anything else: the access's ops are in the op stream
 
 # Op kinds.  0-2: a cache access that hit that level.
-_MISS = 3       # + is_write + 2 * after a TLB miss: LLC miss of block arg
-_WRITEBACK = 7  # dirty LLC victim arg drains
-_NOTE = 8       # + huge leaf: PTB fetch, arg = ptb_address << 3 | level
-_END = 10       # closes an access's ops
+_WALKED = 3     # a TLB miss's page walk ends here
+_MISS = 4       # + is_write + 2 * after a TLB miss: LLC miss of block arg
+_WRITEBACK = 8  # dirty LLC victim arg drains
+_PTB_MISS = 9   # + guest fetch: LLC miss of a PTB, arg = address << 3 | level
+_NOTE = 11      # + huge leaf: harvest a fetched PTB, arg as for _PTB_MISS
+_END = 13       # closes an access's ops
 
 
 class FrontEndRecording(NamedTuple):
     """One front-end pass over a trace, replayable under any controller."""
 
-    key: tuple          # see _key
-    codes: bytearray    # per access: a hit level, _UNMAPPED or _EVENTS
-    kinds: bytearray    # ops of the _EVENTS accesses, each closed by _END
-    args: array         # the args of the ops of kind _MISS and above
-    end_state: tuple    # (contents, statistics) after the pass
+    key: Optional[tuple]  # see _key; None for a segment's recording
+    codes: bytearray      # per access: a hit level, _UNMAPPED or _EVENTS
+    kinds: bytearray      # ops of the _EVENTS accesses, each closed by _END
+    args: array           # the args of the ops of kind _MISS and above
+    end_state: Optional[tuple]  # (contents, statistics) after the pass
 
 
-def run_fast(sim, state) -> None:
-    """Run ``sim``'s trace replay loop from ``state`` to completion.
+class _Columns(NamedTuple):
+    """Per-run inputs of the front-end pass, shared by its segments."""
 
-    Mutates the same simulator state the slow loop would (clock, run
-    progress, sim counters, every component) and returns nothing; the
-    caller builds the result exactly as for a slow run.
+    vpns: list
+    tags: list
+    gblocks: list  # ppn * 64 + block index, or -1 for an unmapped vpn
+    writes: list
+    codes: bytearray
+    walk_cache: dict  # vpn -> ((level, ptb address) pairs, huge) | None
+
+
+def run_fast(sim, state, supervisor=None) -> Optional[str]:
+    """Run ``sim``'s trace replay from ``state`` to the end of the trace.
+
+    Mutates the simulator state (clock, run progress, sim counters,
+    every component); returns the supervisor's stop reason when it ends
+    the run early, else None.
     """
+    n = len(sim.workload.trace)
+    warmup_end = state.warmup_end
+    profiler = sim.context.profiler
+    timeseries = sim.timeseries
+    strides = [1] if timeseries is not None else []
+    heartbeat = None
+    if supervisor is not None:
+        strides += supervisor.strides()
+        heartbeat = supervisor.heartbeat
+    one_segment = not strides and profiler is None
+
     space = sim.space
-    fresh = state.index == 0 and _cold(sim)
+    key = _key(sim, warmup_end)
+    fresh = one_segment and state.index == 0 and _cold(sim)
     recording = space.front_end if fresh else None
-    reused = (recording is not None
-              and recording.key == _key(sim, state.warmup_end))
-    if not reused:
-        recording = _front_end_pass(sim, state)
-        if fresh:
-            space.front_end = recording
+    reused = recording is not None and recording.key == key
+    columns = None if reused else _columns(sim)
+    front_end = _profiled(profiler, "sim.front_end", _front_end_pass)
+    back_end = _profiled(profiler, "sim.back_end", _back_end_pass)
+    stop_reason = None
     try:
-        _back_end_pass(sim, state, recording)
+        while state.index < n:
+            start = state.index
+            if supervisor is not None:
+                stop_reason = supervisor.on_access(sim, state)
+                if stop_reason is not None:
+                    break
+            if start == warmup_end:
+                sim._reset_stats()
+                state.measure_start_ns = sim.clock.now_ns
+            stop = n
+            for stride in strides:
+                stop = min(stop, (start // stride + 1) * stride)
+            if profiler is not None and start < warmup_end < stop:
+                stop = warmup_end
+            reset_at = warmup_end if start < warmup_end < stop else -1
+            if not reused:
+                recording = front_end(sim, columns, start, stop, reset_at)
+                if stop == n:
+                    columns = None  # the back end never reads them
+                if fresh:
+                    space.front_end = recording._replace(
+                        key=key, end_state=(_save_contents(sim),
+                                            _save(_stat_parts(sim))))
+            back_end(sim, state, recording, stop, reset_at, heartbeat)
+            if timeseries is not None:
+                timeseries.maybe_sample(sim.clock.now_ns)
     finally:
-        # The back end's warm-up reset zeroed the front end's statistics.
-        contents, stats = recording.end_state
         if reused:
+            contents, stats = recording.end_state
             _load_contents(sim, contents)
-        _load(_stat_parts(sim), stats)
+            _load(_stat_parts(sim), stats)
+    if timeseries is not None:
+        timeseries.finish(sim.clock.now_ns)
+    return stop_reason
+
+
+def _profiled(profiler, section: str, function):
+    """``function``, timed under ``section`` when a profiler is armed."""
+    if profiler is None:
+        return function
+
+    def timed(*args):
+        profiler.begin(section)
+        try:
+            return function(*args)
+        finally:
+            profiler.end()
+
+    return timed
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +204,9 @@ def _cold(sim) -> bool:
 
 
 def _stat_parts(sim) -> list:
-    """``(object, attribute names)`` of the front end's statistics and
-    the simulator's two front-end counters."""
+    """``(object, attribute names)`` of the front end's statistics (the
+    ones the warm-up boundary resets) and the simulator's two front-end
+    counters."""
     walker = sim.walker
     hierarchy = sim.hierarchy
     ratio = ("hits", "total")
@@ -139,15 +219,25 @@ def _stat_parts(sim) -> list:
 
 def _small_parts(sim) -> list:
     """``(object, attribute names)`` of the front end's contents other
-    than cache lines: TLB and PWC recency, prefetcher tables."""
+    than cache lines: TLB and PWC recency, prefetcher tables, and a
+    nested walker's host PWC and counters (never reset)."""
     hierarchy = sim.hierarchy
     parts = [(sim.tlb._lru, IntLRU.__slots__),
              (hierarchy._next_line, ("_outstanding", "_recent_results",
                                      "_enabled", "_cooloff")),
              (hierarchy._stride_l1, ("_table",)),
              (hierarchy._stride_l2, ("_table",))]
+    pwcs = [sim.walker.pwc]
+    nested = sim.nested_walker
+    if nested is not None:
+        host = nested.host_walker
+        pwcs.append(host.pwc)
+        parts += [(nested.walks, ("value",)),
+                  (nested.total_fetches, ("value",)),
+                  (host.walks, ("value",)), (host.ptb_fetches, ("value",)),
+                  (host.pwc.stats, ("hits", "total"))]
     parts += [(lru, IntLRU.__slots__)
-              for lru in sim.walker.pwc._caches.values()]
+              for pwc in pwcs for lru in pwc._caches.values()]
     return parts
 
 
@@ -201,21 +291,25 @@ def _load_contents(sim, contents) -> None:
 # Front-end pass: TLB, walk, caches; no clock
 # ----------------------------------------------------------------------
 
-def _front_end_pass(sim, state) -> FrontEndRecording:
-    """Replay the front end from ``state.index``, recording the stream."""
+def _columns(sim) -> _Columns:
+    """The trace split into the columns the front-end pass reads."""
     trace = sim.workload.trace
-    n = len(trace)
     vpns, tags, blocks, writes = trace_columns(trace, sim.huge_pages)
-
-    # Global-block column: ppn * 64 + block_index, or -1 for unmapped
-    # vpns.  Translation is static (same invariant the walk-path memo
-    # below relies on), so the whole column is precomputed once.
+    # Translation is static (same invariant the walk-path memo relies
+    # on), so the global-block column is precomputed once.
     memo_get = sim.space.translation.get
     gblocks = [-1 if (p := memo_get(v)) is None else p * 64 + b
                for v, b in zip(vpns, blocks)]
-    del blocks
+    return _Columns(vpns, tags, gblocks, writes, bytearray(len(trace)), {})
 
-    # Hoisted hot references (the slow loop re-resolves these per access).
+
+def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
+                    reset_at: int) -> FrontEndRecording:
+    """Replay accesses ``[start, stop)`` through the front end, recording
+    the stream; statistics reset before access ``reset_at``."""
+    vpns, tags, gblocks, writes, codes, walk_cache = columns
+
+    # Hoisted hot references.
     tlb = sim.tlb
     tlb_lru = tlb._lru
     tlb_slots = tlb_lru._slot
@@ -242,26 +336,22 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
     pwc_first = walker.pwc.first_fetch_level
     pwc_fill = walker.pwc.fill
     walk_path = sim.table.walk_path
-    # vpn -> ((level, ptb address) pairs, huge) | None for unmapped vpns.
-    # The page table is static while a run is in flight, so the walk path
-    # (PageWalker.walk minus its dynamic PWC interaction) memoizes; the
-    # PWC start level, its LRU/stat updates, and the walker counters are
-    # still replayed per walk.
-    walk_cache: dict = {}
+    nested_walk = (sim.nested_walker.walk if sim.nested_walker is not None
+                   else None)
     # The front end's statistics, which the warm-up boundary resets.
-    front_stats = [obj for obj, _ in _stat_parts(sim) if obj is not sim]
+    front_stats = ([obj for obj, _ in _stat_parts(sim) if obj is not sim]
+                   if reset_at >= 0 else ())
     writebacks: list = []
 
-    codes = bytearray(n)  # 0: an L1 hit after a TLB hit, the common case
     kinds = bytearray()
     args = array("q")
     kind_append = kinds.append
     arg_append = args.append
 
     def data(index: int, tlb_missed: bool) -> bool:
-        """Access ``index``'s data block (Simulator._one_access tail; the
-        L1 hit is CacheHierarchy.access_fast unrolled): record it and
-        close the access; True when it missed the LLC."""
+        """Access ``index``'s data block (the L1 hit is
+        CacheHierarchy.access_fast unrolled): record it and close the
+        access; True when it missed the LLC."""
         block = gblocks[index]
         if block >= 0:
             is_write = writes[index]
@@ -301,6 +391,25 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
             codes[index] = _UNMAPPED
         return False
 
+    def ptb_fetch(address: int, level: int, note: Optional[int]) -> None:
+        """Record one PTB fetch of a walk through the caches; ``note`` is
+        the op that hands the PTB to the controller (``_NOTE``, + 1 for a
+        huge leaf), or None for a nested walk's guest PTB."""
+        del writebacks[:]
+        hit_level = access_fast(address >> 6, False, True, writebacks)
+        arg = address << 3 | level
+        if hit_level < 3:
+            kind_append(hit_level)
+        else:
+            kind_append(_PTB_MISS if note else _PTB_MISS + 1)
+            arg_append(arg)
+        if writebacks:
+            kinds.extend(repeat(_WRITEBACK, len(writebacks)))
+            args.extend(writebacks)
+        if note:
+            kind_append(note)
+            arg_append(arg)
+
     # Batched front end ingredients: membership predicates (all C-level)
     # and the adaptive chunk widths.
     tlb_has = tlb_slots.__contains__
@@ -310,13 +419,12 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
     chunk = 64   # outer (TLB-hit) pre-classification width
     lchunk = 8   # inner (L1-hit) window width
 
-    index = state.index
-    warmup_end = state.warmup_end
+    index = start
     tlb_misses = sim._tlb_misses
     l3_data_misses = sim._l3_data_misses
 
-    while index < n:
-        if index == warmup_end:
+    while index < stop:
+        if index == reset_at:
             for stat in front_stats:
                 stat.reset()
             tlb_misses = 0
@@ -335,12 +443,12 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
         # the window re-classifies.  Chunks never straddle the warmup
         # boundary.  Final state is identical to the scalar loop's:
         # recency moves collapse to each key's last occurrence and stats
-        # are bulk sums.  L1 hits after TLB hits keep their zero code.
+        # are bulk sums.  L1 hits after TLB hits get a zero code.
         end = index + chunk
-        if index < warmup_end < end:
-            end = warmup_end
-        if end > n:
-            end = n
+        if index < reset_at < end:
+            end = reset_at
+        if end > stop:
+            end = stop
         span = end - index
         if span >= 2:
             seg_tags = tags[index:end]
@@ -362,11 +470,11 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
                         reversed(seg_tags[:tp] if tp != span
                                  else seg_tags))):
                     tlb_move(t)
-                stop = index + tp
-                while index < stop:
+                stop_hits = index + tp
+                while index < stop_hits:
                     wend = index + lchunk
-                    if wend > stop:
-                        wend = stop
+                    if wend > stop_hits:
+                        wend = stop_hits
                     seg_blocks = gblocks[index:wend]
                     lflags = list(map(l1_has, seg_blocks))
                     try:
@@ -395,7 +503,7 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
                                            writes[index:index + q]):
                             l1_index[b] |= DIRTY
                         index += q
-                    if index < stop:
+                    if index < stop_hits:
                         # Residue inside a TLB-hit run: an unmapped vpn
                         # or (far more often) an L1 miss.
                         if data(index, False):
@@ -416,43 +524,45 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
         else:
             tlb_missed = True
             tlb_misses += 1
-            # -- page walk (Simulator._page_walk + PageWalker.walk,
-            # inlined with the static walk path memoized) ---------------
-            walks_counter.value += 1
             vpn = vpns[index]
-            if vpn in walk_cache:
-                cached = walk_cache[vpn]
-            else:
+            if nested_walk is not None:
+                # A 2D walk (NestedPageWalker.walk): every fetch goes
+                # through the caches; only host PTBs are harvested.
                 try:
-                    path = walk_path(vpn)
+                    fetches = nested_walk(vpn).fetches
                 except KeyError:
-                    cached = walk_cache[vpn] = None
+                    fetches = ()
+                for kind, level, address in fetches:
+                    ptb_fetch(address, level,
+                              None if kind == GUEST_FETCH else _NOTE)
+            else:
+                # -- page walk (PageWalker.walk, inlined with the static
+                # walk path memoized: the PWC start level, its LRU/stat
+                # updates and the walker counters still run per walk) --
+                walks_counter.value += 1
+                if vpn in walk_cache:
+                    cached = walk_cache[vpn]
                 else:
-                    cached = walk_cache[vpn] = (
-                        tuple((lvl, addr) for lvl, addr, _ in path),
-                        path[-1][0] == 2,
-                    )
-            if cached is not None:
-                path_pairs, walk_huge = cached
-                start_level = pwc_first(vpn)
-                fetches = [pair for pair in path_pairs
-                           if pair[0] <= start_level]
-                ptb_fetches_counter.value += len(fetches)
-                pwc_fill(vpn)
-                for level, ptb_address in fetches:
-                    del writebacks[:]
-                    block = ptb_address >> 6
-                    hit_level = access_fast(block, False, True, writebacks)
-                    if hit_level < 3:
-                        kind_append(hit_level)
+                    try:
+                        path = walk_path(vpn)
+                    except KeyError:
+                        cached = walk_cache[vpn] = None
                     else:
-                        kind_append(_MISS + 2)
-                        arg_append(block)
-                    if writebacks:
-                        kinds.extend(repeat(_WRITEBACK, len(writebacks)))
-                        args.extend(writebacks)
-                    kind_append(_NOTE + (walk_huge and level == 2))
-                    arg_append(ptb_address << 3 | level)
+                        cached = walk_cache[vpn] = (
+                            tuple((lvl, addr) for lvl, addr, _ in path),
+                            path[-1][0] == 2,
+                        )
+                if cached is not None:
+                    path_pairs, walk_huge = cached
+                    start_level = pwc_first(vpn)
+                    fetches = [pair for pair in path_pairs
+                               if pair[0] <= start_level]
+                    ptb_fetches_counter.value += len(fetches)
+                    pwc_fill(vpn)
+                    for level, ptb_address in fetches:
+                        ptb_fetch(ptb_address, level,
+                                  _NOTE + (walk_huge and level == 2))
+            kind_append(_WALKED)
             if tag in tlb_slots:
                 tlb_move(tag)
             else:
@@ -466,37 +576,42 @@ def _front_end_pass(sim, state) -> FrontEndRecording:
 
     sim._tlb_misses = tlb_misses
     sim._l3_data_misses = l3_data_misses
-    end_state = (_save_contents(sim), _save(_stat_parts(sim)))
-    return FrontEndRecording(_key(sim, warmup_end), codes, kinds, args,
-                             end_state)
+    return FrontEndRecording(None, codes, kinds, args, None)
 
 
 # ----------------------------------------------------------------------
-# Back-end pass: the clock and the memory controller
+# Back-end pass: the clock, the memory controller and the observers
 # ----------------------------------------------------------------------
 
-def _back_end_pass(sim, state, recording: FrontEndRecording) -> None:
-    """Replay ``recording`` through ``sim``'s controller from ``state``."""
+def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
+                   reset_at: int, heartbeat=None) -> None:
+    """Replay ``recording`` through ``sim``'s controller from ``state``
+    up to access ``stop``; statistics reset before access ``reset_at``.
+
+    ``heartbeat`` runs before every access whose index is a multiple of
+    :data:`WATCHDOG_STRIDE`."""
     config = sim.system
     compute_ns = config.cycles_to_ns(sim.workload.compute_cycles_per_access)
     mlp = config.mlp_stall_factor
 
-    # Per-hit-level stall latencies: same integer cycle counts as the
-    # slow path feeds cycles_to_ns, so the floats are bit-identical.
+    # Per-hit-level stall latencies: the integer cycle counts of
+    # CacheHierarchy.access through cycles_to_ns.
     cache_config = sim.hierarchy.config
     l1_cycles = cache_config.l1_latency
     l2_cycles = l1_cycles + cache_config.l2_latency
     l3_cycles = l2_cycles + cache_config.l3_latency
     lat = (config.cycles_to_ns(l1_cycles), config.cycles_to_ns(l2_cycles),
-           config.cycles_to_ns(l3_cycles), config.cycles_to_ns(l3_cycles))
-    lat_miss = lat[3]
-    # Clock step after the compute step of an access without ops, by
-    # code: ``stall * mlp`` with stall = 0.0 + its level's latency.
-    step = (lat[0] * mlp, lat[1] * mlp, lat[2] * mlp, 0.0 * mlp).__getitem__
+           config.cycles_to_ns(l3_cycles))
+    lat_miss = lat[2]
+    # Stall of an access without ops, by code, and the clock step after
+    # its compute step: ``stall * mlp``.
+    code_stall = lat + (0.0,)
+    step = tuple(stall * mlp for stall in code_stall).__getitem__
     computes = repeat(compute_ns)
 
     controller = sim.controller
-    serve_fast = controller.serve_l3_miss_fast
+    serve_fast = _profiled(sim.context.profiler, "controller.serve_miss",
+                           controller.serve_l3_miss_fast)
     serve_writeback = controller.serve_writeback
     note_ptb = controller.note_ptb_fetch
     # Base-class note_ptb_fetch is a no-op and table.ptb_at is side-effect
@@ -504,7 +619,9 @@ def _back_end_pass(sim, state, recording: FrontEndRecording) -> None:
     # embedded CTEs (everything but TMCC).
     do_note = (type(controller).note_ptb_fetch
                is not MemoryController.note_ptb_fetch)
-    table_ptb_at = sim.table.ptb_at
+    table_ptb_at = (sim.table if sim.host_table is None
+                    else sim.host_table).ptb_at
+    stat_parts = _stat_parts(sim) if reset_at >= 0 else ()
     reset_stats = sim._reset_stats
     clock = sim.clock
     codes = recording.codes
@@ -513,66 +630,140 @@ def _back_end_pass(sim, state, recording: FrontEndRecording) -> None:
     find_end = kinds.find
     next_arg = iter(recording.args).__next__
 
-    n = len(codes)
+    # Observer hooks; an access without ops skips them all unless one
+    # must run per access.
+    trace = sim.workload.trace
+    tracer = sim.tracer
+    injector = sim._fault_injector
+    bus = sim.context.bus
+    publish = bus.publish if bus.active else None
+    watch_walks = tracer is not None or publish is not None
+    per_access = (tracer is not None or injector is not None
+                  or heartbeat is not None)
+    virtualized = sim.virtualized
+    ptb_kinds = ("ptb_host", "ptb_guest") if virtualized else ("ptb", "ptb")
+
     now = clock.now_ns
     start = index = state.index
-    warmup_end = state.warmup_end
     fig5_cte_misses = sim._fig5_cte_misses
     fig5_after_tlb = sim._fig5_after_tlb
     op = 0
 
     try:
-        while index < n:
-            if index == warmup_end:
+        while index < stop:
+            if index == reset_at:
+                # The front-end pass has already reset and advanced the
+                # front end's statistics: keep them.
+                front_stats = _save(stat_parts)
                 reset_stats()
+                _load(stat_parts, front_stats)
                 fig5_cte_misses = 0
                 fig5_after_tlb = 0
                 state.measure_start_ns = now
-            limit = warmup_end if index < warmup_end < n else n
-            stop = find(_EVENTS, index, limit)
-            if stop < 0:
-                stop = limit
-            if stop > index:
-                # Accesses without ops: the slow loop's two clock adds
-                # each, in order.
-                now = _reduce(_add, chain.from_iterable(
-                    zip(computes, map(step, codes[index:stop]))), now)
-                index = stop
-                continue
+            if per_access:
+                if injector is not None:
+                    injector.tick(index, now)
+                if heartbeat is not None and not index % WATCHDOG_STRIDE:
+                    heartbeat()
+            else:
+                limit = reset_at if index < reset_at < stop else stop
+                events = find(_EVENTS, index, limit)
+                if events < 0:
+                    events = limit
+                if events > index:
+                    # Accesses without ops: two clock adds each, in order.
+                    now = _reduce(_add, chain.from_iterable(
+                        zip(computes, map(step, codes[index:events]))), now)
+                    index = events
+                    continue
 
             now += compute_ns
-            stall = 0.0
-            end = find_end(_END, op)
-            for kind in kinds[op:end]:
-                if kind < _MISS:
-                    stall += lat[kind]
-                    continue
-                arg = next_arg()
-                if kind < _WRITEBACK:
-                    stall += lat_miss
-                    latency, path, _ = serve_fast(
-                        arg >> 6, arg & 63, now + stall,
-                        kind == _MISS + 1 or kind == _MISS + 3)
-                    stall += latency
-                    if path != PATH_CTE_HIT:
-                        fig5_cte_misses += 1
-                        if kind > _MISS + 1:
+            if tracer is not None:
+                vaddr, is_write = trace[index]
+                tracer.begin_access(now, index=index, vaddr=vaddr,
+                                    write=is_write)
+            code = codes[index]
+            if code != _EVENTS:
+                stall = code_stall[code]
+            else:
+                stall = 0.0
+                end = find_end(_END, op)
+                ops = kinds[op:end]
+                op = end + 1
+                walk_span = None
+                if watch_walks and _WALKED in ops:
+                    vpn = trace[index][0] >> 12
+                    if publish is not None:
+                        publish("sim.tlb_miss", now, vpn=vpn)
+                    if tracer is not None:
+                        walk_span = tracer.begin(
+                            "page_walk", CATEGORY_WALK, now, vpn=vpn,
+                            nested=virtualized)
+                for kind in ops:
+                    if kind < _WALKED:
+                        stall += lat[kind]
+                        continue
+                    if kind == _WALKED:
+                        if walk_span is not None:
+                            tracer.end(walk_span, now + stall)
+                        continue
+                    arg = next_arg()
+                    if kind < _WRITEBACK:
+                        stall += lat_miss
+                        latency, path, spans = serve_fast(
+                            arg >> 6, arg & 63, now + stall,
+                            kind == _MISS + 1 or kind == _MISS + 3)
+                        if tracer is not None and tracer.active:
+                            _add_miss_span(tracer, now + stall, latency,
+                                           path, spans, "data", arg >> 6)
+                        stall += latency
+                        if path != PATH_CTE_HIT:
+                            fig5_cte_misses += 1
+                            if kind > _MISS + 1:
+                                fig5_after_tlb += 1
+                    elif kind == _WRITEBACK:
+                        serve_writeback(arg >> 6, arg & 63, now + stall)
+                    elif kind < _NOTE:
+                        stall += lat_miss
+                        latency, path, spans = serve_fast(
+                            arg >> 15, (arg >> 9) & 63, now + stall, False)
+                        if tracer is not None and tracer.active:
+                            _add_miss_span(tracer, now + stall, latency,
+                                           path, spans,
+                                           ptb_kinds[kind - _PTB_MISS],
+                                           arg >> 15, arg & 7)
+                        stall += latency
+                        if path != PATH_CTE_HIT:
+                            fig5_cte_misses += 1
                             fig5_after_tlb += 1
-                elif kind == _WRITEBACK:
-                    serve_writeback(arg >> 6, arg & 63, now + stall)
-                elif do_note:
-                    ptb_address = arg >> 3
-                    note_ptb(arg & 7, ptb_address, table_ptb_at(ptb_address),
-                             kind != _NOTE)
-            op = end + 1
+                    elif do_note:
+                        ptb_address = arg >> 3
+                        note_ptb(arg & 7, ptb_address,
+                                 table_ptb_at(ptb_address), kind != _NOTE)
+            if tracer is not None:
+                tracer.end_access(now + stall)
             now += stall * mlp
             index += 1
     finally:
         # Flush loop-local state back onto the simulator, also on error.
         clock.now_ns = now
-        measured_from = max(start, warmup_end)
+        measured_from = max(start, state.warmup_end)
         if index > measured_from:
             state.measured += index - measured_from
         state.index = index
         sim._fig5_cte_misses = fig5_cte_misses
         sim._fig5_after_tlb = fig5_after_tlb
+
+
+def _add_miss_span(tracer, start_ns: float, latency: float, path: str,
+                   spans, kind: str, ppn: int,
+                   level: Optional[int] = None) -> None:
+    """Promote a served miss's stages into the open trace as an
+    ``llc_miss`` span; ``kind`` is ``data`` or the PTB fetch's kind."""
+    args = {"path": path, "kind": kind, "ppn": ppn,
+            "in_ml2": path == PATH_ML2}
+    if level is not None:
+        args["level"] = level
+    tracer.add_timeline(
+        "llc_miss", ServiceTimeline.from_spans(start_ns, latency, spans),
+        **args)

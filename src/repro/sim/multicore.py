@@ -167,7 +167,7 @@ class MultiCoreSimulator:
             if executed == warmup:
                 measure_start = max(c.now_ns for c in self.cores)
             core.now_ns += compute_ns
-            stall = self._one_access(core, vaddr, is_write)
+            stall = self._core_access(core, vaddr, is_write)
             core.now_ns += stall * self.system.mlp_stall_factor
             if executed > warmup:
                 measured += 1
@@ -177,7 +177,7 @@ class MultiCoreSimulator:
         elapsed = end - (measure_start or 0.0)
         return self._result(measured, max(1.0, elapsed))
 
-    def _one_access(self, core: _Core, vaddr: int, is_write: bool) -> float:
+    def _core_access(self, core: _Core, vaddr: int, is_write: bool) -> float:
         system = self.system
         vpn = vaddr >> 12
         stall = 0.0

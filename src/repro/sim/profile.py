@@ -6,10 +6,11 @@ run slow.  It is deliberately tiny: a stack of named sections timed with
 ``time.perf_counter_ns``, aggregated into per-section inclusive
 (``total_ns``), exclusive (``self_ns``), and call-count totals.
 
-Everything is opt-in (``repro run --profile``).  When off, the
-simulator's section guards are a single ``is None`` check and
-:data:`NULL_TIMER` makes :meth:`~repro.sim.instrument.Probe.timed` free,
-so no-flag runs pay nothing and stay bit-identical.
+Everything is opt-in (``repro run --profile``).  When off, the replay
+loop times nothing (its sections are wrapped only when a profiler is
+armed) and :data:`NULL_TIMER` makes
+:meth:`~repro.sim.instrument.Probe.timed` free, so no-flag runs pay
+nothing and stay bit-identical.
 
 When on, the profiler registers as a callable metrics source under the
 ``profile.`` namespace::

@@ -34,12 +34,11 @@ from repro.core import (  # noqa: F401  (importing registers the built-ins)
     TwoLevelController,
     create_controller,
 )
-from repro.core.base import PATH_CTE_HIT
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
 from repro.dram.system import DRAMSystem
-from repro.sim.columns import decompose_vaddr
 from repro.sim.context import SimContext
+from repro.sim.fastpath import run_fast
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.results import SimResult
 from repro.sim.space import address_space
@@ -79,19 +78,12 @@ class Simulator:
         context: Optional[SimContext] = None,
         fault_plan: Optional[FaultPlan] = None,
         resilience: bool = False,
-        fast_path: str = "auto",
     ) -> None:
         if controller not in CONTROLLER_REGISTRY:
             raise ValueError(f"unknown controller {controller!r}; "
                              f"choose from {CONTROLLER_REGISTRY.names()}")
         if virtualized and huge_pages:
             raise ValueError("virtualized mode models 4 KB guest pages only")
-        if fast_path not in ("auto", "on", "off"):
-            raise ValueError(f"fast_path must be 'auto', 'on', or 'off', "
-                             f"got {fast_path!r}")
-        #: Zero-observer loop selection: "auto" uses it whenever eligible,
-        #: "on" demands it (ConfigError otherwise), "off" never uses it.
-        self.fast_path = fast_path
         self.context = context or SimContext(system, seed)
         self.workload = workload
         self.controller_name = controller
@@ -245,112 +237,35 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def fast_path_eligible(self) -> bool:
-        """True when no observer could distinguish the fast/slow loops.
-
-        The zero-observer loop (:mod:`repro.sim.fastpath`) elides the
-        per-access object graph and every instrumentation hook; it is
-        only sound when nothing is listening and nothing perturbs the
-        replay from outside (fault injection, nested walks).  Both loops
-        serve LLC misses through the same controller code, so resilience
-        mode alone does not force the observed loop.
-        """
+        """True when no observer hook runs: no tracer, time-series
+        recorder, profiler, fault injector or bus subscriber is
+        attached, so the replay pays for none of them."""
         return (self.tracer is None
                 and self.timeseries is None
                 and self.context.profiler is None
                 and self._fault_injector is None
-                and not self.context.bus.active
-                and not self.virtualized)
+                and not self.context.bus.active)
 
     def run(self, warmup_fraction: float = 0.2,
             supervisor=None) -> SimResult:
         """Replay the trace; statistics cover the post-warmup region.
 
-        With a :class:`~repro.sim.supervisor.RunSupervisor`, the loop
+        The replay is :func:`repro.sim.fastpath.run_fast`, with every
+        attached observer as a hook.  With a
+        :class:`~repro.sim.supervisor.RunSupervisor`, the run
         additionally checkpoints on the supervisor's cadence and stops
         early (returning a partial result flagged ``truncated``) when
         its wall-clock watchdog fires.  A simulator restored from a
         checkpoint resumes exactly where it stopped: the loop position
         rides on the object as :class:`RunProgress`.
-
-        With ``fast_path`` "auto" (the default) an unobserved,
-        unsupervised run takes the zero-observer loop instead -- same
-        results, bit for bit, at a fraction of the host cost.  That loop
-        keeps its TLB/walk/cache pass on the workload's address space, so a
-        later fresh simulator on the same workload replays only its
-        controller.
         """
-        trace = self.workload.trace
         state = self._run_state
         if state is None:
             state = self._run_state = RunProgress(
-                index=0, warmup_end=int(len(trace) * warmup_fraction))
-        config = self.system
-        compute_ns = config.cycles_to_ns(self.workload.compute_cycles_per_access)
-        injector = self._fault_injector
-        tracer = self.tracer
-        timeseries = self.timeseries
-        profiler = self.context.profiler
-        stop_reason = None
-
-        use_fast = (self.fast_path != "off" and supervisor is None
-                    and self.fast_path_eligible())
-        if self.fast_path == "on" and not use_fast:
-            from repro.common.errors import ConfigError
-
-            raise ConfigError(
-                "fast_path='on' requires a zero-observer run: no tracer, "
-                "timeseries recorder, profiler, fault injector, run "
-                "supervisor, bus subscriber, or virtualization"
-            )
-
+                index=0,
+                warmup_end=int(len(self.workload.trace) * warmup_fraction))
         try:
-            if use_fast:
-                from repro.sim.fastpath import run_fast
-
-                run_fast(self, state)
-            else:
-                # Invariant references hoisted out of the loop body; the
-                # fast path goes further (see repro/sim/fastpath.py).
-                clock = self.clock
-                one_access = self._one_access
-                warmup_end = state.warmup_end
-                mlp = config.mlp_stall_factor
-                trace_len = len(trace)
-                while state.index < trace_len:
-                    if supervisor is not None:
-                        stop_reason = supervisor.on_access(self, state)
-                        if stop_reason is not None:
-                            break
-                    index = state.index
-                    vaddr, is_write = trace[index]
-                    if index == warmup_end:
-                        self._reset_stats()
-                        state.measure_start_ns = clock.now_ns
-                    if injector is not None:
-                        injector.tick(index, clock.now_ns)
-                    clock.advance(compute_ns)
-                    if tracer is not None:
-                        tracer.begin_access(clock.now_ns, index=index,
-                                            vaddr=vaddr, write=is_write)
-                    if profiler is None:
-                        stall_ns = one_access(vaddr, is_write)
-                    else:
-                        profiler.begin("sim.access")
-                        try:
-                            stall_ns = one_access(vaddr, is_write)
-                        finally:
-                            profiler.end()
-                    if tracer is not None:
-                        tracer.end_access(clock.now_ns + stall_ns)
-                    clock.advance(stall_ns * mlp)
-                    if timeseries is not None:
-                        timeseries.maybe_sample(clock.now_ns)
-                    if index >= warmup_end:
-                        state.measured += 1
-                    state.index += 1
-
-                if timeseries is not None:
-                    timeseries.finish(self.clock.now_ns)
+            stop_reason = run_fast(self, state, supervisor)
         finally:
             # Flush/close owned writers even when the loop dies early, so
             # --trace-events files are never left truncated and unflushed.
@@ -364,123 +279,6 @@ class Simulator:
         else:
             self._run_state = None  # finished: a fresh run() starts over
         return result
-
-    def _one_access(self, vaddr: int, is_write: bool) -> float:
-        """Serve one trace record; returns the access's stall time (ns)."""
-        bus = self.context.bus
-        tracer = self.tracer
-        vpn, tag, _ = decompose_vaddr(vaddr, self.huge_pages)
-        stall_ns = 0.0
-        tlb_missed = not self.tlb.lookup(tag)
-
-        if tlb_missed:
-            self._tlb_misses += 1
-            if bus.active:
-                bus.publish("sim.tlb_miss", self.clock.now_ns, vpn=vpn)
-            walk_span = None
-            if tracer is not None:
-                from repro.sim.tracing import CATEGORY_WALK
-
-                walk_span = tracer.begin("page_walk", CATEGORY_WALK,
-                                         self.clock.now_ns, vpn=vpn,
-                                         nested=self.virtualized)
-            stall_ns += self._page_walk(vpn)
-            if tracer is not None:
-                tracer.end(walk_span, self.clock.now_ns + stall_ns)
-            self.tlb.fill(tag)
-
-        ppn = self.space.translation.get(vpn)
-        if ppn is None:
-            return stall_ns
-        paddr = ppn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1))
-        return self._access_block(paddr, is_write, stall_ns, "data",
-                                  after_tlb=tlb_missed)
-
-    def _access_block(self, address: int, is_write: bool, stall_ns: float,
-                      kind: str, level: int = -1,
-                      after_tlb: bool = True) -> float:
-        """One block access through the caches and, on an LLC miss, the
-        controller; returns ``stall_ns`` plus the access's stall.
-
-        ``kind`` is ``"data"`` for demand accesses, else the page-table
-        fetch kind (``"ptb"``, ``"ptb_host"``, ``"ptb_guest"``) at
-        ``level``.  Dirty LLC victims drain once the access completes.
-        """
-        is_ptb = kind != "data"
-        result = self.hierarchy.access(address, is_write, is_ptb)
-        stall_ns += self.system.cycles_to_ns(result.latency_cycles)
-        if result.l3_miss:
-            if not is_ptb:
-                self._l3_data_misses += 1
-            ppn = address >> 12
-            miss = self.controller.serve_l3_miss(
-                ppn, (address >> 6) & 63, self.clock.now_ns + stall_ns,
-                is_write)
-            stall_ns += miss.latency_ns
-            self._trace_miss(miss, kind, ppn, level)
-            # Every path but a CTE-cache hit missed the CTE cache (ML2
-            # accesses included); Figure 5 counts those after a TLB miss.
-            if miss.path != PATH_CTE_HIT:
-                self._fig5_cte_misses += 1
-                if after_tlb:
-                    self._fig5_after_tlb += 1
-        drain_ns = self.clock.now_ns + stall_ns
-        for block in result.dram_writebacks:
-            self.controller.serve_writeback(block >> 6, block & 63, drain_ns)
-        return stall_ns
-
-    def _page_walk(self, vpn: int) -> float:
-        """Serve a TLB miss; returns its stall contribution."""
-        if self.virtualized:
-            return self._nested_page_walk(vpn)
-        stall_ns = 0.0
-        try:
-            walk = self.walker.walk(vpn)
-        except KeyError:
-            return 0.0
-        for level, ptb_address in walk.fetches:
-            stall_ns = self._access_block(ptb_address, False, stall_ns, "ptb",
-                                          level)
-            huge_leaf = walk.huge and level == 2
-            self.controller.note_ptb_fetch(
-                level, ptb_address, self.table.ptb_at(ptb_address), huge_leaf
-            )
-        return stall_ns
-
-    def _nested_page_walk(self, vpn: int) -> float:
-        """Serve a TLB miss with a 2D walk (Figure 12b).
-
-        Every fetch -- host PTBs and guest PTBs alike -- flows through the
-        caches and the compression controller; only host PTB fetches feed
-        TMCC's CTE harvesting, per Section V-A3's 2D discussion.
-        """
-        from repro.vm.nested import HOST_FETCH
-
-        stall_ns = 0.0
-        try:
-            walk = self.nested_walker.walk(vpn)
-        except KeyError:
-            return 0.0
-        for kind, level, address in walk.fetches:
-            stall_ns = self._access_block(address, False, stall_ns,
-                                          f"ptb_{kind}", level)
-            if kind == HOST_FETCH:
-                self.controller.note_ptb_fetch(
-                    level, address, self.host_table.ptb_at(address),
-                    huge_leaf=False,
-                )
-        return stall_ns
-
-    def _trace_miss(self, miss, kind: str, ppn: int, level: int) -> None:
-        """Promote a served miss's pipeline timeline into the open trace."""
-        tracer = self.tracer
-        if tracer is None or not tracer.active or miss.timeline is None:
-            return
-        args = {"path": miss.path, "kind": kind, "ppn": ppn,
-                "in_ml2": miss.in_ml2}
-        if level >= 0:
-            args["level"] = level
-        tracer.add_timeline("llc_miss", miss.timeline, **args)
 
     # ------------------------------------------------------------------
     # Statistics plumbing

@@ -6,7 +6,7 @@ placement draw only on their own RNG streams (``frames``, ``populate``,
 never on the controller.  :func:`address_space` builds them once per
 (context seed, page size, placement drift, virtualization) and keeps the
 result on the workload: one entry, replaced on a different key, never
-pickled.  The space also owns the fast loop's front-end recording
+pickled.  The space also owns the replay loop's front-end recording
 (:class:`repro.sim.fastpath.FrontEndRecording`), which is only valid for
 the tables and translation it walked.
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.common.errors import (  # noqa: F401  (re-exported taxonomy)
     ConfigError,
@@ -40,15 +40,12 @@ from repro.common.errors import (  # noqa: F401  (re-exported taxonomy)
     SimError,
     classify_error,
 )
+from repro.sim.fastpath import WATCHDOG_STRIDE
 from repro.sim.results import SimResult
 from repro.sim.simulator import RunProgress, Simulator
 
 #: Bump when the pickled layout changes incompatibly.
 CHECKPOINT_VERSION = 1
-
-#: The watchdog samples the wall clock once per this many accesses --
-#: cheap enough to leave on, coarse enough to stay off the hot path.
-_WATCHDOG_STRIDE = 64
 
 
 def save_checkpoint(sim: Simulator, path: str) -> None:
@@ -162,26 +159,44 @@ class RunSupervisor:
         #: so the parent can tell a slow job from a hung child.
         self.heartbeat = heartbeat
         self._deadline: Optional[float] = None
+        #: The access index the current run started or resumed at.
+        self._started_at = 0
         self.checkpoints_written = 0
 
     # ------------------------------------------------------------------
-    # Simulator-facing hook
+    # Simulator-facing hooks
     # ------------------------------------------------------------------
+
+    def strides(self) -> List[int]:
+        """The access strides :meth:`on_access` acts on; the replay loop
+        ends a segment at every multiple of each, so the front end never
+        runs ahead of a checkpoint or a watchdog stop."""
+        strides = []
+        if self.checkpoint_every:
+            strides.append(self.checkpoint_every)
+        if self.wall_clock_limit_s is not None:
+            strides.append(WATCHDOG_STRIDE)
+        return strides
 
     def on_access(self, sim: Simulator,
                   state: RunProgress) -> Optional[str]:
-        """Called before each access; a non-None return stops the run."""
-        if (self.checkpoint_every and state.index
+        """Called before a segment starts at ``state.index``; a non-None
+        return stops the run there.
+
+        A checkpoint is written only once an access has run since the
+        run started or resumed: a resumed run never rewrites the
+        checkpoint it was loaded from.  The heartbeat is the replay
+        loop's to call, on the watchdog stride.
+        """
+        if (self.checkpoint_every and state.index > self._started_at
                 and state.index % self.checkpoint_every == 0):
             save_checkpoint(sim, self.checkpoint_path)
             self.checkpoints_written += 1
-        if state.index % _WATCHDOG_STRIDE == 0:
-            if self.heartbeat is not None:
-                self.heartbeat()
-            if (self._deadline is not None
-                    and self._clock() >= self._deadline):
-                return (f"wall-clock limit of {self.wall_clock_limit_s} s "
-                        f"reached at access {state.index}")
+        if (self._deadline is not None
+                and state.index % WATCHDOG_STRIDE == 0
+                and self._clock() >= self._deadline):
+            return (f"wall-clock limit of {self.wall_clock_limit_s} s "
+                    f"reached at access {state.index}")
         return None
 
     # ------------------------------------------------------------------
@@ -198,6 +213,8 @@ class RunSupervisor:
         """
         if self.wall_clock_limit_s is not None:
             self._deadline = self._clock() + self.wall_clock_limit_s
+        state = sim._run_state
+        self._started_at = state.index if state is not None else 0
         result = sim.run(warmup_fraction=warmup_fraction, supervisor=self)
         if result.truncated and self.checkpoint_path:
             save_checkpoint(sim, self.checkpoint_path)

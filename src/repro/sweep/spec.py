@@ -49,8 +49,9 @@ from repro.common.errors import ConfigError
 from repro.common.units import GIB, KIB, MIB
 
 #: Job matrix format tag; part of every job_id hash, so incompatible
-#: expansion changes can never silently match old store rows.
-MATRIX_VERSION = 1
+#: expansion changes can never silently match old store rows.  Version 2
+#: dropped the ``fast_path`` knob from the job identity.
+MATRIX_VERSION = 2
 
 #: Odd multiplier decorrelating repeat seeds from the base seed; repeat
 #: 0 keeps the base seed untouched so single-repeat sweeps reproduce the
@@ -218,7 +219,6 @@ class JobSpec:
     accesses: int
     scale: float
     workload_seed: int
-    fast_path: str
     huge_pages: bool
     job_id: str = field(default="", compare=False)
     provider_id: str = field(default="", compare=False)
@@ -235,7 +235,6 @@ class JobSpec:
             "accesses": self.accesses,
             "scale": self.scale,
             "workload_seed": self.workload_seed,
-            "fast_path": self.fast_path,
             "huge_pages": self.huge_pages,
         }
 
@@ -272,7 +271,6 @@ class SweepSpec:
     accesses: int = 40_000
     scale: float = 0.4
     workload_seed: int = 1
-    fast_path: str = "auto"
     huge_pages: bool = False
     #: Controller whose budget-``none`` job anchors iso/fraction budgets.
     reference: str = "compresso"
@@ -396,9 +394,6 @@ class SweepSpec:
             raise ConfigError(f"scale must be in (0, 1], got {self.scale}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.fast_path not in ("auto", "on", "off"):
-            raise ConfigError(f"fast_path must be 'auto', 'on', or 'off', "
-                              f"got {self.fast_path!r}")
         if self.job_timeout_s is not None and self.job_timeout_s <= 0:
             raise ConfigError(f"job_timeout_s must be > 0, "
                               f"got {self.job_timeout_s}")
@@ -431,7 +426,6 @@ class SweepSpec:
             "accesses": self.accesses,
             "scale": self.scale,
             "workload_seed": self.workload_seed,
-            "fast_path": self.fast_path,
             "huge_pages": self.huge_pages,
             "reference": self.reference,
             "job_timeout_s": self.job_timeout_s,
@@ -466,7 +460,7 @@ class SweepSpec:
                 index=len(jobs), workload=workload, controller=controller,
                 seed=seed, base_seed=base_seed, repeat=repeat, budget=budget,
                 faults=faults, accesses=self.accesses, scale=self.scale,
-                workload_seed=self.workload_seed, fast_path=self.fast_path,
+                workload_seed=self.workload_seed,
                 huge_pages=self.huge_pages,
             )
             job_id = _job_hash(job.identity())

@@ -85,7 +85,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     accesses     INTEGER NOT NULL,
     scale        REAL NOT NULL,
     workload_seed INTEGER NOT NULL,
-    fast_path    TEXT NOT NULL,
+    fast_path    TEXT NOT NULL,  -- retired knob; new rows hold ''
     huge_pages   INTEGER NOT NULL DEFAULT 0,
     provider_id  TEXT NOT NULL DEFAULT '',
     status       TEXT NOT NULL,
@@ -272,7 +272,7 @@ class SweepStore:
                     [(job.job_id, sweep_id, job.index, job.workload,
                       job.controller, job.seed, job.base_seed, job.repeat,
                       job.budget.label(), job.faults or "", job.accesses,
-                      job.scale, job.workload_seed, job.fast_path,
+                      job.scale, job.workload_seed, "",
                       int(job.huge_pages), job.provider_id)
                      for job in jobs])
                 return sweep_id, True
@@ -291,7 +291,7 @@ class SweepStore:
                 [(job.job_id, sweep_id, job.index, job.workload,
                   job.controller, job.seed, job.base_seed, job.repeat,
                   job.budget.label(), job.faults or "", job.accesses,
-                  job.scale, job.workload_seed, job.fast_path,
+                  job.scale, job.workload_seed, "",
                   int(job.huge_pages), job.provider_id)
                  for job in jobs])
         return sweep_id, False

@@ -165,7 +165,6 @@ def execute_job(
             seed=job.seed,
             model=model,
             fault_plan=fault_plan,
-            fast_path=job.fast_path,
         )
         if timeout_s is not None or heartbeat is not None:
             from repro.sim.supervisor import RunSupervisor

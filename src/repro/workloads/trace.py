@@ -29,7 +29,7 @@ class Workload:
     Simulators share one address space per workload
     (:class:`repro.sim.space.AddressSpace`): the populated page table,
     the translation and the warm placement, which every controller would
-    build identically, and the fast loop's front-end recording, which it
+    build identically, and the replay loop's front-end recording, which it
     owns.  It lives and dies with this object, is replaced when a
     simulator needs a differently shaped one, and is never pickled.  The
     workload is treated as immutable once built.

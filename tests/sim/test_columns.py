@@ -1,6 +1,6 @@
 """Tests for the shared virtual-address decomposition (`repro.sim.columns`).
 
-Both replay loops split accesses through this module; these tests pin
+The replay loop splits accesses through this module; these tests pin
 the decomposition itself (including the huge-page tag) and prove the
 three `trace_columns` spellings -- numpy, pure python, and the
 beyond-int64 overflow fallback -- agree with the per-access helper.

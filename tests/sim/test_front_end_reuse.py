@@ -1,12 +1,14 @@
-"""The fast loop's recorded front end: reuse, end state, invalidation.
+"""The replay loop's recorded front end: reuse, end state, invalidation.
 
 ``repro.sim.fastpath`` runs the TLB, page walk and caches once per
 trace and keeps the recording on the workload's shared address space;
-a later fresh simulator on the same workload replays only its memory
-controller.  These tests pin that reuse to the frozen goldens (byte for
-byte, whichever controller recorded), check that a reused run leaves the
-front end exactly as a fresh run would, and that anything shaping the
-front end or the address space differently forces a new recording.
+a later fresh one-segment simulator on the same workload replays only
+its memory controller.  These tests pin that reuse to the frozen goldens
+(byte for byte, whichever controller recorded), check that a reused run
+leaves the front end exactly as a fresh run would, that observed
+one-segment runs reuse it too while segmented runs never touch it, and
+that anything shaping the front end or the address space differently
+forces a new recording.
 """
 
 import dataclasses
@@ -19,7 +21,11 @@ from repro.cache.hierarchy import HierarchyConfig
 from repro.core import available_controllers
 from repro.core.config import SystemConfig
 from repro.sim import fastpath
+from repro.sim.context import SimContext
+from repro.sim.faults import FaultPlan
 from repro.sim.simulator import Simulator
+from repro.sim.supervisor import RunSupervisor
+from repro.sim.timeseries import TimeSeriesRecorder
 from repro.sim.tracing import SpanTracer
 
 from tests.sim.test_frozen_goldens import (
@@ -125,9 +131,9 @@ def front_end_passes(monkeypatch):
     calls = []
     original = fastpath._front_end_pass
 
-    def counting(sim, state):
+    def counting(sim, *args):
         calls.append(sim)
-        return original(sim, state)
+        return original(sim, *args)
 
     monkeypatch.setattr(fastpath, "_front_end_pass", counting)
     return calls
@@ -149,9 +155,6 @@ def test_second_run_is_the_same_either_way(front_end_passes):
     fresh = Simulator(_small(), controller="tmcc", seed=3)
     assert fresh.run().as_dict() == first.as_dict()
     assert fresh.run().as_dict() == second.as_dict()
-    slow = Simulator(_small(), controller="tmcc", seed=3, fast_path="off")
-    slow.run()
-    assert slow.run().as_dict() == second.as_dict()
 
 
 def _with_cache(**changes):
@@ -170,12 +173,11 @@ def _with_cache(**changes):
         "prefetch"])
 def test_differently_shaped_front_end_is_not_reused(variant,
                                                     front_end_passes):
-    def run(workload, fast_path="auto"):
+    def run(workload):
         kwargs = dict(variant)
         warmup = kwargs.pop("warmup_fraction", 0.2)
         kwargs.setdefault("seed", 3)
-        sim = Simulator(workload, controller="tmcc", fast_path=fast_path,
-                        **kwargs)
+        sim = Simulator(workload, controller="tmcc", **kwargs)
         result = sim.run(warmup_fraction=warmup)
         return json.dumps(result.as_dict(), sort_keys=True)
 
@@ -185,7 +187,7 @@ def test_differently_shaped_front_end_is_not_reused(variant,
     changed = run(shared)
     assert len(front_end_passes) == 1
     assert shared._space.front_end is not recording
-    assert changed == run(_small(), fast_path="off")
+    assert changed == run(_small())
 
 
 @pytest.mark.parametrize("variant", [
@@ -206,33 +208,87 @@ def test_different_address_space_is_not_reused(variant, front_end_passes):
     document = _emit_json(shared, "tmcc", **variant)
     assert shared._space is not space
     assert space.front_end is recording
-    if variant.get("virtualized"):
-        assert front_end_passes == []  # observed loop: no recording
-        assert shared._space.front_end is None
-    else:
-        assert len(front_end_passes) == 1
-        assert shared._space.front_end is not None
-        assert shared._space.front_end is not recording
+    assert len(front_end_passes) == 1
+    assert shared._space.front_end is not None
+    assert shared._space.front_end is not recording
     assert document == _emit_json(_small(), "tmcc", **variant)
 
 
-@pytest.mark.parametrize("observed", ["slow", "traced", "virtualized"])
-def test_observed_runs_never_touch_the_recording(observed,
-                                                 front_end_passes):
+def _observed_run(workload, observer):
+    """One tmcc run with ``observer`` attached: ``(result dict, what
+    the observer saw)``."""
+    sim = Simulator(workload, controller="tmcc", seed=3,
+                    virtualized=observer == "virtualized",
+                    fault_plan=(FaultPlan.parse("stale_cte:0.05")
+                                if observer == "faulted" else None))
+    seen = []
+    if observer in ("traced", "virtualized"):
+        sim.attach_tracer(SpanTracer(sample_every=7))
+    elif observer == "events":
+        sim.context.bus.subscribe_all(seen.append)
+    if observer == "heartbeat":
+        result = RunSupervisor(heartbeat=lambda: seen.append(1)).run(sim)
+    else:
+        result = sim.run()
+    if sim.tracer is not None:
+        seen = sim.tracer.spans()
+    return result.as_dict(), [item if isinstance(item, int)
+                              else item.as_dict() for item in seen]
+
+
+@pytest.mark.parametrize("observer", ["traced", "events", "faulted",
+                                      "heartbeat", "virtualized"])
+def test_one_segment_observed_runs_reuse_the_recording(observer,
+                                                       front_end_passes):
+    """An observed run that needs no segment boundary replays another
+    run's recording, and sees exactly what it sees on a fresh
+    workload."""
+    shared = _small()
+    recording = _record(shared, "compresso",
+                        virtualized=observer == "virtualized")
+    del front_end_passes[:]
+    reused = _observed_run(shared, observer)
+    assert front_end_passes == []
+    assert shared._space.front_end is recording
+    assert reused == _observed_run(_small(), observer)
+
+
+def _segmented_run(workload, observer, tmp_path):
+    context = None
+    if observer == "profiled":
+        context = SimContext(seed=3)
+        context.enable_profiling()
+    sim = Simulator(workload, controller="tmcc", seed=3, context=context)
+    if observer == "timeseries":
+        sim.attach_timeseries(
+            TimeSeriesRecorder(sim.context.metrics, 2000.0))
+    if observer == "checkpointed":
+        return RunSupervisor(checkpoint_path=str(tmp_path / "ck.pkl"),
+                             checkpoint_every=250).run(sim)
+    if observer == "watchdog":
+        return RunSupervisor(wall_clock_limit_s=1e9).run(sim)
+    return sim.run()
+
+
+@pytest.mark.parametrize("observer", ["timeseries", "checkpointed",
+                                      "watchdog", "profiled"])
+def test_segmented_runs_never_touch_the_recording(observer, tmp_path,
+                                                  front_end_passes):
+    """A run that reads the whole registry (or stops) mid-trace runs the
+    front end segment by segment: it neither reuses nor records."""
     shared = _small()
     recording = _record(shared, "compresso")
-    space = shared._space
     del front_end_passes[:]
-    sim = Simulator(shared, controller="tmcc", seed=3,
-                    fast_path="off" if observed == "slow" else "auto",
-                    virtualized=observed == "virtualized")
-    if observed == "traced":
-        sim.attach_tracer(SpanTracer(sample_every=7))
-    sim.run()
-    assert front_end_passes == []
-    assert space.front_end is recording
-    # A virtualized run has an address space of its own.
-    assert (sim.space is space) == (observed != "virtualized")
+    result = _segmented_run(shared, observer, tmp_path)
+    assert len(front_end_passes) > 1
+    assert shared._space.front_end is recording
+    record = result.as_dict()
+    record["metrics"] = {key: value
+                         for key, value in record["metrics"].items()
+                         if not key.startswith("profile.")}
+    golden = json.loads((GOLDEN_DIR / "tmcc.json").read_bytes())
+    del golden["metrics_tree"], golden["run_config"]
+    assert json.loads(json.dumps(record)) == golden
 
 
 def test_pickled_workload_arrives_without_its_address_space():

@@ -3,11 +3,11 @@
 Two properties keep the replay loop cheap:
 
 1. the per-access record types carry ``__slots__`` (no ``__dict__``),
-   so the millions of short-lived instances a slow run creates stay
+   so the instances the multi-core engine creates per access stay
    small -- pinned here with a tracemalloc footprint measurement;
-2. the zero-observer fast loop elides that object graph entirely --
-   pinned by counting constructions of the slow path's record objects
-   during a fast run.
+2. the single-core replay loop elides that object graph entirely,
+   observed or not -- pinned by counting constructions of the record
+   objects during a run.
 """
 
 import tracemalloc
@@ -19,7 +19,9 @@ from repro.cache.sa_cache import CacheLine
 from repro.core.base import MissResult
 from repro.core.twolevel import TwoLevelController
 from repro.dram.system import ReadResult
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
+from repro.sim.tracing import SpanTracer
 from repro.workloads.suite import workload_by_name
 
 HOT_INSTANCES = [
@@ -51,9 +53,11 @@ def test_cacheline_allocation_footprint():
 
 
 def test_fast_loop_constructs_no_per_access_records(monkeypatch):
-    """The fast loop must never reach the allocating slow-path entry
-    points (``CacheHierarchy.access`` -> AccessResult,
-    ``serve_l3_miss`` -> MissResult/ServiceTimeline)."""
+    """The replay loop must never reach the allocating entry points
+    (``CacheHierarchy.access`` -> AccessResult, ``serve_l3_miss`` ->
+    MissResult/ServiceTimeline), with or without a tracer; the
+    multi-core engine, which still calls them, is the positive
+    control."""
     calls = {"access": 0, "miss": 0}
     slow_access = CacheHierarchy.access
     slow_miss = TwoLevelController.serve_l3_miss
@@ -70,9 +74,13 @@ def test_fast_loop_constructs_no_per_access_records(monkeypatch):
     monkeypatch.setattr(TwoLevelController, "serve_l3_miss", counting_miss)
 
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
-    Simulator(workload, controller="tmcc", seed=3, fast_path="on").run()
+    Simulator(workload, controller="tmcc", seed=3).run()
+    traced = Simulator(workload, controller="tmcc", seed=3)
+    traced.attach_tracer(SpanTracer(sample_every=1))
+    traced.run()
     assert calls == {"access": 0, "miss": 0}
 
-    Simulator(workload, controller="tmcc", seed=3, fast_path="off").run()
+    MultiCoreSimulator(workload, num_cores=2, controller="tmcc",
+                       seed=3).run()
     assert calls["access"] > 0
     assert calls["miss"] > 0

@@ -119,7 +119,7 @@ def test_job_id_is_pinned():
     # version; this pin fails loudly if either changes without a
     # MATRIX_VERSION bump (which would corrupt store resume matching).
     job = tiny_spec().expand()[0]
-    assert job.job_id == "bd136184e50bc6ab"
+    assert job.job_id == "21b71965b4e11efd"
 
 
 def test_iso_jobs_wired_to_reference_provider():
@@ -159,7 +159,7 @@ def test_iso_without_reference_rejected():
     dict(accesses=0),
     dict(scale=1.5),
     dict(repeats=0),
-    dict(fast_path="sometimes"),
+    dict(name=""),
     dict(job_timeout_s=-1.0),
     dict(faults=("nosuchfault:bogus",)),
 ])
@@ -224,6 +224,15 @@ def test_unknown_spec_keys_rejected():
     with pytest.raises(ConfigError, match="unknown sweep spec key"):
         SweepSpec.from_dict({"name": "t", "workloads": ["mcf"],
                              "controllers": ["compresso"], "wrkloads": []})
+
+
+def test_retired_fast_path_key_rejected():
+    """Spec files written when sweeps could pick the replay loop fail
+    loudly: there is one loop now."""
+    with pytest.raises(ConfigError, match="unknown sweep spec key"):
+        SweepSpec.from_dict({"name": "t", "workloads": ["mcf"],
+                             "controllers": ["compresso"],
+                             "fast_path": "auto"})
 
 
 def test_builtin_specs_expand():

@@ -372,7 +372,9 @@ def test_run_profile_prints_host_sections(capsys):
     assert main(["run", "mcf", "--accesses", "4000", "--scale", "0.12",
                  "--profile"]) == 0
     out = capsys.readouterr().out
-    assert "sim.access" in out
+    assert "sim.front_end" in out
+    assert "sim.back_end" in out
+    assert "controller.serve_miss" in out
     assert "self_ms" in out
 
 

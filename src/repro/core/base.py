@@ -9,7 +9,7 @@ notifies it of page-walker PTB fetches so it can harvest embedded CTEs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.registry import Registry
 from repro.common.stats import StatGroup
@@ -34,6 +34,10 @@ PATH_ML2 = "ml2"
 #: All access-path labels, in Figure 19's reporting order.
 ACCESS_PATHS = (PATH_CTE_HIT, PATH_PARALLEL_OK, PATH_PARALLEL_MISMATCH,
                 PATH_SERIAL_NO_CTE, PATH_ML2)
+
+#: What a PTB note carries (:meth:`MemoryController.note_ptb_fetch`):
+#: the PTB's PTEs, None, or a reader of them by PTB address.
+PTEs = Union[None, List[int], Callable[[int], Optional[List[int]]]]
 
 #: Pre-interned stat keys: the miss service must not rebuild
 #: ``path_<p>`` strings per miss.
@@ -231,9 +235,15 @@ class MemoryController:
         self.dram.write(self._data_address(ppn, block_index), now_ns)
         self.stats.counter("writebacks").increment()
 
-    def note_ptb_fetch(self, level: int, ptb_address: int,
-                       ptes: Optional[List[int]], huge_leaf: bool) -> None:
-        """Page-walker fetched a PTB; TMCC overrides this to harvest CTEs."""
+    def note_ptb_fetch(self, level: int, ptb_address: int, ptes: PTEs,
+                       huge_leaf: bool) -> None:
+        """Page-walker fetched a PTB; TMCC overrides this to harvest CTEs.
+
+        ``ptes`` is the PTB's eight PTEs, None when ``ptb_address`` holds
+        no PTB, or a reader that returns either given ``ptb_address``
+        (``PageTable.ptb_at``), to be called only when the PTEs are
+        needed.
+        """
 
     # ------------------------------------------------------------------
     # Reporting

@@ -157,7 +157,9 @@ class StageAccounting:
     """
 
     def __init__(self, histograms: StatGroup) -> None:
-        self._paths: Dict[str, Dict[str, StageTotals]] = {}
+        #: path -> stage name -> (its StageTotals, its sample lists in
+        #: ``_samples``): what one span updates, behind one lookup.
+        self._paths: Dict[str, Dict[str, Tuple[StageTotals, list]]] = {}
         self._path_total_ns: Dict[str, float] = {}
         self._path_count: Dict[str, int] = {}
         self.histograms = histograms
@@ -177,20 +179,15 @@ class StageAccounting:
         stages = self._paths.get(path)
         if stages is None:
             stages = self._paths[path] = {}
-        samples = self._samples
         for name, _start, latency_ns, critical, wasted, slack_ns in spans:
-            totals = stages.get(name)
-            if totals is None:
-                totals = stages[name] = StageTotals()
+            entry = stages.get(name)
+            if entry is None:
+                entry = stages[name] = (StageTotals(), self._bound(name))
+            totals, bound = entry
             totals.count += 1
             totals.total_ns += latency_ns
             if critical:
                 totals.critical_ns += latency_ns
-            bound = samples.get(name)
-            if bound is None:
-                bound = samples[name] = [
-                    self.histograms.histogram(f"{name}.ns").samples, None,
-                    None]
             bound[0].append(latency_ns)
             if slack_ns:
                 totals.slack_ns += slack_ns
@@ -203,6 +200,15 @@ class StageAccounting:
         path_total[path] = path_total.get(path, 0.0) + total_ns
         path_count = self._path_count
         path_count[path] = path_count.get(path, 0) + 1
+
+    def _bound(self, name: str) -> list:
+        """``name``'s sample lists, first binding histogram
+        ``<name>.ns``."""
+        bound = self._samples.get(name)
+        if bound is None:
+            bound = self._samples[name] = [
+                self.histograms.histogram(f"{name}.ns").samples, None, None]
+        return bound
 
     def _bind(self, bound: list, index: int, name: str, suffix: str) -> list:
         """``bound[index]``, first binding histogram ``<name>.<suffix>``."""
@@ -218,7 +224,8 @@ class StageAccounting:
         return sorted(self._paths)
 
     def stages(self, path: str) -> Dict[str, StageTotals]:
-        return dict(self._paths.get(path, {}))
+        return {name: totals
+                for name, (totals, _) in self._paths.get(path, {}).items()}
 
     def path_total_ns(self, path: str) -> float:
         return self._path_total_ns.get(path, 0.0)
@@ -238,7 +245,7 @@ class StageAccounting:
         grand = self.grand_total_ns()
         rows: List[Dict[str, object]] = []
         for path in self.paths():
-            for name, totals in sorted(self._paths[path].items()):
+            for name, (totals, _) in sorted(self._paths[path].items()):
                 rows.append({
                     "path": path,
                     "stage": name,
@@ -258,7 +265,7 @@ class StageAccounting:
         for path in self.paths():
             out[f"{path}.total_ns"] = self._path_total_ns.get(path, 0.0)
             out[f"{path}.count"] = self._path_count.get(path, 0)
-            for name, totals in sorted(self._paths[path].items()):
+            for name, (totals, _) in sorted(self._paths[path].items()):
                 prefix = f"{path}.{name}"
                 out[f"{prefix}.count"] = totals.count
                 out[f"{prefix}.mean_ns"] = totals.mean_ns

@@ -20,12 +20,14 @@ On top of the two-level engine, TMCC adds its two contributions:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import (
     PATH_ML2,
     PATH_PARALLEL_MISMATCH,
     PATH_PARALLEL_OK,
+    PTEs,
     register_controller,
 )
 from repro.core.config import SystemConfig
@@ -71,18 +73,24 @@ class TMCCController(TwoLevelController):
     # Page-walk side: harvesting embedded CTEs
     # ------------------------------------------------------------------
 
-    def note_ptb_fetch(self, level: int, ptb_address: int,
-                       ptes: Optional[List[int]], huge_leaf: bool) -> None:
+    def note_ptb_fetch(self, level: int, ptb_address: int, ptes: PTEs,
+                       huge_leaf: bool) -> None:
         """The walker fetched a PTB; buffer its embedded CTEs.
 
-        ``huge_leaf`` marks an L2 PTB whose entries map 2 MiB pages: its
-        PTEs cover 4K base pages each, far too many CTEs to embed
-        (Section VIII), so TMCC learns nothing from it.
+        A reader in ``ptes`` is called only on the PTB's first harvest;
+        later ones reuse the memo.  ``huge_leaf`` marks an L2 PTB whose
+        entries map 2 MiB pages: its PTEs cover 4K base pages each, far
+        too many CTEs to embed (Section VIII), so TMCC learns nothing
+        from it.
         """
         if ptes is None or huge_leaf:
             return
         harvest = self._ptb_harvest.get(ptb_address)
         if harvest is None:
+            if callable(ptes):
+                ptes = ptes(ptb_address)
+                if ptes is None:
+                    return
             shadow = self._shadow_for(ptb_address, ptes)
             ppn_bits = self.ptb_codec.ppn_bits
             pairs = []
@@ -98,15 +106,18 @@ class TMCCController(TwoLevelController):
         shadow, pairs = harvest
         slots = shadow.cte_slots if shadow is not None else None
         buffer = self._cte_buffer
-        # Bounded FIFO insert: re-inserting moves a PPN to the MRU end,
-        # and each insert past capacity evicts the oldest entry.
+        # Bounded FIFO: re-inserting moves a PPN to the MRU end; once the
+        # note's inserts are in, the oldest entries past capacity evict
+        # (the same entries, in the same order, as evicting per insert).
         for ppn, slot in pairs:
             if ppn in buffer:
-                del buffer[ppn]  # re-inserting below moves it to MRU
+                del buffer[ppn]
             buffer[ppn] = (slots[slot] if slot is not None else None,
                            ptb_address)
-            if len(buffer) > CTE_BUFFER_ENTRIES:
-                del buffer[next(iter(buffer))]
+        excess = len(buffer) - CTE_BUFFER_ENTRIES
+        if excess > 0:
+            for ppn in list(islice(buffer, excess)):
+                del buffer[ppn]
 
     def _shadow_for(self, ptb_address: int, ptes: List[int]):
         if ptb_address in self._ptb_shadow:

@@ -15,6 +15,7 @@ of Sections III/IV.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import List, Optional
 
 from repro.common.bits import extract_bits, insert_bits
@@ -125,12 +126,9 @@ class CompressoCTE:
             raise ValueError(f"block index {block_index} out of page")
         if not self.chunks:
             return None
-        # Prefix sum without the list-slice copy; this runs once per
+        # Integer prefix sum without a list-slice copy; this runs once per
         # Compresso LLC miss.
-        offset = 0
-        sizes = self.block_sizes
-        for i in range(block_index):
-            offset += sizes[i]
+        offset = sum(islice(self.block_sizes, block_index))
         chunk_index = offset // chunk_size
         if chunk_index >= len(self.chunks):
             return None

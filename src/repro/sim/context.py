@@ -162,9 +162,8 @@ class SimContext:
 
     def probe(self, namespace: str,
               stats: Optional[StatGroup] = None) -> Probe:
-        """A :class:`Probe` bound to this context's bus (and profiler)."""
-        return Probe(namespace, bus=self.bus, stats=stats,
-                     profiler=self.profiler)
+        """A :class:`Probe` bound to this context's bus."""
+        return Probe(namespace, bus=self.bus, stats=stats)
 
     def enable_profiling(self) -> "object":
         """Arm host-side wall-clock profiling (``profile.*`` metrics).

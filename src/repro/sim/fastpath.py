@@ -19,7 +19,12 @@ nothing for them.
   recording through ``MemoryController.serve_l3_miss_fast``,
   ``serve_writeback`` and ``note_ptb_fetch``, and runs the hooks: the
   fault injector's tick, the heartbeat, ``sim.tlb_miss`` events, and
-  the span tracer's access, ``page_walk`` and ``llc_miss`` spans.
+  the span tracer's access, ``page_walk`` and ``llc_miss`` spans.  An
+  unobserved pass steps the clock over each run of accesses without
+  ops in a plain loop, two adds per access (compute, then stall) in the
+  per-access order.  ``note_ptb_fetch`` gets the page table's reader
+  rather than the PTEs, so a controller reads a PTB only when it needs
+  to (TMCC: on the PTB's first harvest).
 
 Segments.  Whatever reads the whole metrics registry mid-run must see
 the front end no further along than the back end, so the trace splits
@@ -49,9 +54,7 @@ of this loop byte for byte.
 from __future__ import annotations
 
 from array import array
-from functools import reduce as _reduce
 from itertools import chain, compress as _compress, islice, repeat
-from operator import add as _add
 from typing import NamedTuple, Optional
 
 from repro.cache.sa_cache import DIRTY
@@ -606,17 +609,17 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
     # Stall of an access without ops, by code, and the clock step after
     # its compute step: ``stall * mlp``.
     code_stall = lat + (0.0,)
-    step = tuple(stall * mlp for stall in code_stall).__getitem__
-    computes = repeat(compute_ns)
+    step = tuple(stall * mlp for stall in code_stall)
 
     controller = sim.controller
     serve_fast = _profiled(sim.context.profiler, "controller.serve_miss",
                            controller.serve_l3_miss_fast)
     serve_writeback = controller.serve_writeback
     note_ptb = controller.note_ptb_fetch
-    # Base-class note_ptb_fetch is a no-op and table.ptb_at is side-effect
-    # free, so both calls are skipped for controllers that don't harvest
-    # embedded CTEs (everything but TMCC).
+    # Base-class note_ptb_fetch is a no-op, so it is skipped for
+    # controllers that don't harvest embedded CTEs (everything but TMCC).
+    # The PTEs go as the table's reader: a harvester reads them only when
+    # it needs them (TMCC: on a PTB's first fetch).
     do_note = (type(controller).note_ptb_fetch
                is not MemoryController.note_ptb_fetch)
     table_ptb_at = (sim.table if sim.host_table is None
@@ -672,8 +675,9 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
                     events = limit
                 if events > index:
                     # Accesses without ops: two clock adds each, in order.
-                    now = _reduce(_add, chain.from_iterable(
-                        zip(computes, map(step, codes[index:events]))), now)
+                    for code in codes[index:events]:
+                        now += compute_ns
+                        now += step[code]
                     index = events
                     continue
 
@@ -737,9 +741,8 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
                             fig5_cte_misses += 1
                             fig5_after_tlb += 1
                     elif do_note:
-                        ptb_address = arg >> 3
-                        note_ptb(arg & 7, ptb_address,
-                                 table_ptb_at(ptb_address), kind != _NOTE)
+                        note_ptb(arg & 7, arg >> 3, table_ptb_at,
+                                 kind != _NOTE)
             if tracer is not None:
                 tracer.end_access(now + stall)
             now += stall * mlp

@@ -305,28 +305,13 @@ class Probe:
 
         probe.count("ml2_accesses")
         probe.emit("access_path", now_ns, path=path, ppn=ppn)
-
-    With host-side profiling enabled (``repro run --profile``) the probe
-    additionally carries the run's
-    :class:`~repro.sim.profile.HostProfiler`, so components can scope
-    wall-clock timers to themselves::
-
-        with probe.timed("harvest"):
-            ...  # accounted as profile.<namespace>.harvest.*
-
-    Without a profiler ``timed`` is a shared no-op context manager --
-    one attribute check on the hot path.
     """
 
     def __init__(self, namespace: str, bus: Optional[EventBus] = None,
-                 stats: Optional[StatGroup] = None,
-                 profiler: Optional[object] = None) -> None:
+                 stats: Optional[StatGroup] = None) -> None:
         self.namespace = namespace
         self.bus = bus or EventBus()
         self.stats = stats if stats is not None else StatGroup(namespace)
-        #: Optional :class:`~repro.sim.profile.HostProfiler`; None keeps
-        #: :meth:`timed` free.
-        self.profiler = profiler
 
     def count(self, name: str, amount: int = 1) -> None:
         self.stats.counter(name).increment(amount)
@@ -340,16 +325,3 @@ class Probe:
     def emit(self, kind: str, time_ns: float, **payload: object) -> None:
         """Publish a namespaced trace event (``<namespace>.<kind>``)."""
         self.bus.publish(f"{self.namespace}.{kind}", time_ns, **payload)
-
-    def timed(self, section: str):
-        """A wall-clock timer scoped as ``<namespace>.<section>``.
-
-        Returns the profiler's section context manager, or a shared
-        no-op when profiling is off.
-        """
-        profiler = self.profiler
-        if profiler is None:
-            from repro.sim.profile import NULL_TIMER
-
-            return NULL_TIMER
-        return profiler.section(f"{self.namespace}.{section}")

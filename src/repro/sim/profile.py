@@ -8,9 +8,7 @@ run slow.  It is deliberately tiny: a stack of named sections timed with
 
 Everything is opt-in (``repro run --profile``).  When off, the replay
 loop times nothing (its sections are wrapped only when a profiler is
-armed) and :data:`NULL_TIMER` makes
-:meth:`~repro.sim.instrument.Probe.timed` free, so no-flag runs pay
-nothing and stay bit-identical.
+armed), so no-flag runs pay nothing and stay bit-identical.
 
 When on, the profiler registers as a callable metrics source under the
 ``profile.`` namespace::
@@ -28,40 +26,6 @@ from __future__ import annotations
 
 import time
 from typing import Callable, Dict, List, Mapping
-
-
-class _NullTimer:
-    """Shared no-op context manager for profiling-off call sites."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-#: The one instance every ``Probe.timed`` call shares when profiling is
-#: off -- no allocation on the hot path.
-NULL_TIMER = _NullTimer()
-
-
-class _SectionTimer:
-    """Context manager produced by :meth:`HostProfiler.section`."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "HostProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_SectionTimer":
-        self._profiler.begin(self._name)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._profiler.end()
 
 
 class HostProfiler:
@@ -99,10 +63,6 @@ class HostProfiler:
         self._calls[name] = self._calls.get(name, 0) + 1
         if self._stack:
             self._stack[-1][2] += elapsed
-
-    def section(self, name: str) -> _SectionTimer:
-        """``with profiler.section("controller"): ...``"""
-        return _SectionTimer(self, name)
 
     # ------------------------------------------------------------------
     # Reading (metrics-source protocol)

@@ -247,25 +247,3 @@ def test_probe_emit_namespaces_every_kind():
     Probe("controller", bus=bus).emit("migration", 2.0, pages=3)
     assert [e.kind for e in seen] == ["walker.ptb_hit", "controller.migration"]
     assert seen[1].payload == {"pages": 3}
-
-
-def test_probe_timed_without_profiler_is_null():
-    from repro.sim.profile import NULL_TIMER
-
-    probe = Probe("controller")
-    timer = probe.timed("serve_miss")
-    assert timer is NULL_TIMER
-    with timer:
-        pass  # no-op context manager
-
-
-def test_probe_timed_with_profiler_namespaces_section():
-    from repro.sim.profile import HostProfiler
-
-    profiler = HostProfiler()
-    probe = Probe("controller", profiler=profiler)
-    with probe.timed("serve_miss"):
-        pass
-    report = profiler()
-    assert report["controller.serve_miss.calls"] == 1
-    assert report["controller.serve_miss.total_ns"] >= 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.instrument import MetricsRegistry
-from repro.sim.profile import NULL_TIMER, HostProfiler
+from repro.sim.profile import HostProfiler
 
 
 class _FakeClock:
@@ -14,11 +14,6 @@ class _FakeClock:
 
     def __call__(self):
         return self.now
-
-
-def test_null_timer_is_shared_noop():
-    with NULL_TIMER as timer:
-        assert timer is NULL_TIMER
 
 
 def test_self_time_excludes_children():
@@ -38,12 +33,13 @@ def test_self_time_excludes_children():
     assert profiler.calls("access") == 1
 
 
-def test_section_context_manager_and_recursion():
+def test_repeated_sections_accumulate():
     clock = _FakeClock()
     profiler = HostProfiler(clock=clock)
     for _ in range(3):
-        with profiler.section("serve"):
-            clock.now += 5
+        profiler.begin("serve")
+        clock.now += 5
+        profiler.end()
     assert profiler.calls("serve") == 3
     assert profiler.total_ns("serve") == 15
 
@@ -56,8 +52,9 @@ def test_end_without_begin_raises():
 def test_metrics_source_flattening():
     clock = _FakeClock()
     profiler = HostProfiler(clock=clock)
-    with profiler.section("sim.access"):
-        clock.now += 7
+    profiler.begin("sim.access")
+    clock.now += 7
+    profiler.end()
     registry = MetricsRegistry()
     registry.attach("profile", profiler)
     snapshot = registry.snapshot()
@@ -69,8 +66,9 @@ def test_metrics_source_flattening():
 def test_reset_clears_totals_keeps_open_sections():
     clock = _FakeClock()
     profiler = HostProfiler(clock=clock)
-    with profiler.section("warmup"):
-        clock.now += 100
+    profiler.begin("warmup")
+    clock.now += 100
+    profiler.end()
     profiler.begin("run")
     clock.now = 150
     profiler.reset()  # warm-up boundary with "run" still open
@@ -85,10 +83,12 @@ def test_reset_clears_totals_keeps_open_sections():
 def test_report_rows_sorted_by_self_time():
     clock = _FakeClock()
     profiler = HostProfiler(clock=clock)
-    with profiler.section("cold"):
-        clock.now += 1_000_000
-    with profiler.section("hot"):
-        clock.now += 5_000_000
+    profiler.begin("cold")
+    clock.now += 1_000_000
+    profiler.end()
+    profiler.begin("hot")
+    clock.now += 5_000_000
+    profiler.end()
     rows = profiler.report_rows()
     assert [row["section"] for row in rows] == ["hot", "cold"]
     assert rows[0]["self_ms"] == 5.0

@@ -16,7 +16,8 @@ this equivalence against real ``OrderedDict`` oracles.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional
 
 
 class IntLRU:
@@ -88,6 +89,32 @@ class IntLRU:
         else:
             self._next[tail] = slot
         self._tail = slot
+
+    def fill(self, keys: Iterable[int]) -> None:
+        """Fill a new list with distinct ``keys``, LRU first.
+
+        Leaves the columns exactly as one ``insert_mru`` (default value)
+        per key would.
+        """
+        if self._key:
+            raise ValueError("fill needs a list that was never used")
+        key = self._key
+        key.extend(keys)
+        size = len(key)
+        # One int object per slot, shared by the columns as in the loop.
+        slots = list(range(size))
+        self._slot.update(zip(key, slots))
+        if len(self._slot) != size:
+            self.clear()
+            raise ValueError("fill needs distinct keys")
+        self._val.extend(repeat(True, size))
+        if size:
+            self._prev.append(-1)
+            self._prev.extend(slots[:-1])
+            self._next.extend(slots[1:])
+            self._next.append(-1)
+            self._head = 0
+            self._tail = slots[-1]
 
     def pop_lru(self) -> Optional[int]:
         """Remove and return the LRU key, or ``None`` when empty."""

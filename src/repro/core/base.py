@@ -9,6 +9,7 @@ notifies it of page-walker PTB fetches so it can harvest embedded CTEs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.registry import Registry
@@ -138,10 +139,10 @@ class MemoryController:
     ) -> None:
         """Place all pages.  ``hotness_rank[ppn]`` is 0 for the hottest.
 
-        The base class maps every page 1:1 into DRAM (no compression).
+        The base class maps every page 1:1 into DRAM (no compression),
+        table pages first.
         """
-        for index, ppn in enumerate(list(table_ppns) + list(data_ppns)):
-            self._dram_page[ppn] = index
+        self._dram_page.update(zip(chain(table_ppns, data_ppns), count()))
         self._cte_table_base = len(self._dram_page) * PAGE_SIZE
 
     # ------------------------------------------------------------------

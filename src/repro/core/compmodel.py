@@ -14,7 +14,7 @@ and the Figure 15 benches still run the codecs on full corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List
+from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
 from repro.common.units import PAGE_SIZE
 from repro.compression.block import SelectiveBlockCompressor
@@ -27,6 +27,9 @@ from repro.compression.deflate import (
 
 if TYPE_CHECKING:
     from repro.core.config import SystemConfig
+
+#: Knuth's multiplicative hash: page -> record index.
+_KNUTH = 2_654_435_761
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,6 @@ class PageRecord:
     def deflate_incompressible(self) -> bool:
         """ML1 keeps pages whose Deflate output isn't smaller than 4 KB."""
         return self.deflate_bytes >= PAGE_SIZE
-
-    @property
-    def deflate_ratio(self) -> float:
-        return PAGE_SIZE / self.deflate_bytes
-
-    @property
-    def block_ratio(self) -> float:
-        return PAGE_SIZE / self.block_bytes
 
 
 class PageCompressionModel:
@@ -122,7 +117,19 @@ class PageCompressionModel:
 
     def record_for(self, vpn: int) -> PageRecord:
         """Deterministic page -> record assignment (Knuth hash)."""
-        return self._records[(vpn * 2_654_435_761) % len(self._records)]
+        return self._records[(vpn * _KNUTH) % len(self._records)]
+
+    @property
+    def records(self) -> Tuple[PageRecord, ...]:
+        """The measured records, in sample order."""
+        return tuple(self._records)
+
+    def record_indices(self, vpns: Iterable[int]) -> List[int]:
+        """Index into :attr:`records` of each page's :meth:`record_for`,
+        so a caller can derive per-record values once and look them up
+        per page."""
+        count = len(self._records)
+        return [(vpn * _KNUTH) % count for vpn in vpns]
 
     # ------------------------------------------------------------------
     # Aggregates used for capacity planning (Table IV)

@@ -15,6 +15,7 @@ treatment.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.rng import DeterministicRNG
@@ -79,10 +80,6 @@ class CompressoController(MemoryController):
     # ------------------------------------------------------------------
 
     def _alloc_chunks(self, count: int) -> List[int]:
-        if not self._chunk_free:  # nothing to reuse: a contiguous run
-            start = self._next_chunk
-            self._next_chunk = start + count
-            return list(range(start, start + count))
         chunks = []
         for _ in range(count):
             if self._chunk_free:
@@ -108,25 +105,36 @@ class CompressoController(MemoryController):
         dram_budget_bytes: Optional[int] = None,
     ) -> None:
         """Compress and pack every page; Compresso has no budget knob --
-        its DRAM usage *is* the outcome (Table IV column B)."""
+        its DRAM usage *is* the outcome (Table IV column B).
+
+        Each page's chunk count and block sizes come from its record,
+        derived once per record: the pages of a record share one sizes
+        tuple until a writeback changes one of them.  Chunks are handed
+        out as consecutive runs of a fresh controller's chunk pool.
+        """
         blocks_per_page = PAGE_SIZE // 64
-        ctes = self._cte
-        alloc = self._alloc_chunks
-        for ppn in table_ppns:
-            # Page-table pages: kept uncompressed-equivalent (hot, dirty).
-            ctes[ppn] = CompressoCTE(chunks=alloc(PAGE_SIZE // CHUNK_BYTES),
-                                     block_sizes=[64] * blocks_per_page)
-        for ppn in data_ppns:
-            record = model.record_for(ppn)
+        layouts = []  # per record: (chunk count, block-size tuple)
+        for record in model.records:
             if record.block_sizes:  # block_bytes is their sum
-                sizes = list(record.block_sizes)
+                sizes = record.block_sizes
                 page_bytes = record.block_bytes
             else:
-                sizes = [record.block_bytes // blocks_per_page] * blocks_per_page
+                sizes = (record.block_bytes // blocks_per_page,) * blocks_per_page
                 page_bytes = sum(sizes)
-            ctes[ppn] = CompressoCTE(chunks=alloc(-(-page_bytes // CHUNK_BYTES)),
-                                     block_sizes=sizes)
-        self._cte_table_base = (self._next_chunk + 8) * CHUNK_BYTES
+            layouts.append((-(-page_bytes // CHUNK_BYTES), sizes))
+        # Page-table pages: kept uncompressed-equivalent (hot, dirty).
+        table_layout = (PAGE_SIZE // CHUNK_BYTES, (64,) * blocks_per_page)
+        pages = zip(table_ppns, repeat(table_layout))
+        data_pages = zip(data_ppns, map(layouts.__getitem__,
+                                        model.record_indices(data_ppns)))
+        ctes = self._cte
+        start = self._next_chunk
+        for ppn, (count, sizes) in chain(pages, data_pages):
+            end = start + count
+            ctes[ppn] = CompressoCTE(list(range(start, end)), sizes)
+            start = end
+        self._next_chunk = start
+        self._cte_table_base = (start + 8) * CHUNK_BYTES
 
     def _data_address(self, ppn: int, block_index: int) -> int:
         """Block addresses follow the page's repacked chunk layout."""
@@ -215,7 +223,11 @@ class CompressoController(MemoryController):
         cte = self._cte.get(ppn)
         if cte is None or not self._rng.chance(0.05):
             return
-        cte.block_sizes[block_index] = self._rng.choice(cte.block_sizes)
+        size = self._rng.choice(cte.block_sizes)
+        if type(cte.block_sizes) is not list:
+            # Copy on write: placement shares the record's tuple.
+            cte.block_sizes = list(cte.block_sizes)
+        cte.block_sizes[block_index] = size
         needed = cte.chunks_needed(CHUNK_BYTES)
         if needed > len(cte.chunks):
             cte.chunks += self._alloc_chunks(needed - len(cte.chunks))

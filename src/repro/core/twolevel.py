@@ -15,6 +15,7 @@ latencies ML2 pays (IBM's vs the memory-specialized ASIC).
 
 from __future__ import annotations
 
+from itertools import accumulate, compress
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigError
@@ -103,6 +104,9 @@ class TwoLevelController(MemoryController):
         Models the paper's warm-up equilibrium: the hottest pages that fit
         live in ML1, everything colder sits compressed in ML2.  With no
         budget, everything is ML1 (no memory is being saved).
+
+        Whether a page compresses and its ML2 size class are derived once
+        per record; pages are then placed in bulk on a fresh controller.
         """
         self._model = model
         self._total_pages = len(data_ppns) + len(table_ppns)
@@ -116,18 +120,21 @@ class TwoLevelController(MemoryController):
         budget_chunks = (dram_budget_bytes - metadata) // PAGE_SIZE
         self._budget_chunks = budget_chunks
 
+        # Per record: its ML2 size class, or None when it stays in ML1.
+        class_for = self.ml2_free.class_for
+        records = model.records
+        classes = [None if record.deflate_incompressible
+                   else class_for(record.deflate_bytes) for record in records]
         ordered = sorted(data_ppns, key=lambda p: hotness_rank.get(p, 1 << 30))
+        indices = model.record_indices(ordered)
+        page_classes = list(map(classes.__getitem__, indices))
         must_ml1 = list(table_ppns)
-        compressible: List[int] = []
-        records: List[PageRecord] = []  # of the compressible pages
-        record_for = model.record_for
-        for ppn in ordered:
-            record = record_for(ppn)
-            if record.deflate_incompressible:
-                must_ml1.append(ppn)
-            else:
-                compressible.append(ppn)
-                records.append(record)
+        must_ml1 += [ppn for ppn, size in zip(ordered, page_classes)
+                     if size is None]
+        # The compressible pages, their records and their size classes.
+        compressible = list(compress(ordered, page_classes))
+        compressible_indices = list(compress(indices, page_classes))
+        sizes = list(filter(None, page_classes))
 
         # Keep a free-chunk reserve, scaled down for small simulations.
         reserve = min(self.config.ml1_low_watermark, max(2, budget_chunks // 8))
@@ -137,31 +144,49 @@ class TwoLevelController(MemoryController):
                 f"DRAM budget {dram_budget_bytes} cannot hold even the "
                 f"{len(must_ml1)} uncompressible/pinned pages"
             )
-        ml1_count = self._plan_split(records, available)
+        ml1_count = self._plan_split(sizes, available)
 
-        # Build the chunk pool and place pages.
-        self.ml1_free.push_many(range(budget_chunks))
-        for ppn in must_ml1 + compressible[:ml1_count]:
-            chunk = self.ml1_free.pop()
-            self._dram_page[ppn] = chunk
-            self._cte[ppn] = PageCTE(dram_page=chunk, in_ml2=False)
-        for ppn, record in zip(compressible[ml1_count:], records[ml1_count:]):
-            self._place_in_ml2(ppn, record)
+        # ML1: page i takes chunk budget_chunks - 1 - i, the order a
+        # stack of every chunk pops them in; the rest stay free.
+        ml1_pages = must_ml1 + compressible[:ml1_count]
+        free_chunks = budget_chunks - len(ml1_pages)
+        ml1_chunks = list(range(budget_chunks - 1, free_chunks - 1, -1))
+        self.ml1_free.push_many(range(free_chunks))
+        self._dram_page.update(zip(ml1_pages, ml1_chunks))
+        self._cte.update(zip(ml1_pages, map(PageCTE, ml1_chunks)))
+
+        # ML2: sub-chunks in hotness order; a page whose class is dry
+        # when ML1 cannot donate a super-chunk stays unplaced.
+        dram_page = self._dram_page
+        ctes = self._cte
+        placed = self._subchunk
+        subchunks = self.ml2_free.alloc_many(sizes[ml1_count:], self.ml1_free)
+        for ppn, subchunk, index in zip(compressible[ml1_count:], subchunks,
+                                        compressible_indices[ml1_count:]):
+            if subchunk is None:
+                continue
+            superchunk = subchunk.superchunk
+            base_chunk = superchunk.chunk_ids[0]
+            placed[ppn] = subchunk
+            dram_page[ppn] = base_chunk
+            ctes[ppn] = PageCTE(
+                dram_page=base_chunk,
+                dram_offset=subchunk.slot * superchunk.subchunk_size,
+                in_ml2=True,
+                compressed_size=records[index].deflate_bytes,
+            )
         self._pinned = set(table_ppns)
 
-        # Recency list: coldest pushed first so the hottest end up at MRU.
-        for ppn in reversed(compressible[:ml1_count]):
-            self.recency.push_hot(ppn)
+        # Recency list: coldest first so the hottest end up at MRU.
+        self.recency.fill(reversed(compressible[:ml1_count]))
         self._cte_table_base = budget_chunks * PAGE_SIZE
 
-    def _plan_split(self, records: List[PageRecord], available_chunks: int) -> int:
-        """Largest hot prefix of the compressible pages (``records``,
-        hottest first) kept in ML1 such that everything fits."""
-        class_for = self.ml2_free.class_for
-        sizes = [class_for(record.deflate_bytes) for record in records]
-        suffix = [0] * (len(sizes) + 1)
-        for i in range(len(sizes) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + sizes[i]
+    def _plan_split(self, sizes: List[int], available_chunks: int) -> int:
+        """Largest hot prefix of the compressible pages (``sizes``, their
+        ML2 size classes, hottest first) kept in ML1 such that
+        everything fits."""
+        suffix = list(accumulate(reversed(sizes), initial=0))
+        suffix.reverse()
 
         def fits(ml1_count: int) -> bool:
             ml2_chunks = -(-int(suffix[ml1_count] * _PLAN_SLACK) // PAGE_SIZE)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.common.bits import extract_bits, insert_bits
 from repro.common.units import BLOCKS_PER_PAGE
@@ -27,7 +27,7 @@ CTE_SIZE_PAGE = 8
 CTE_SIZE_BLOCKLEVEL = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class PageCTE:
     """TMCC's 8 B page-level CTE (Figure 13)."""
 
@@ -96,21 +96,24 @@ class PageCTE:
             self.ptb_pair_vector &= ~bit
 
 
-@dataclass
+@dataclass(slots=True)
 class CompressoCTE:
     """Compresso's 64 B per-page metadata block.
 
     Tracks, for each of the 64 blocks of a 4 KB physical page, the
     compressed size class and the block's location: which 512 B chunk it
     lives in and the byte offset inside it.  We keep the fields as plain
-    lists -- the simulator cares about the *reach* (one page per 64 B of
-    metadata), not the exact bit packing.
+    sequences -- the simulator cares about the *reach* (one page per 64 B
+    of metadata), not the exact bit packing.
     """
 
     #: Chunk ids allocated to this page (up to 8 x 512 B).
     chunks: List[int] = field(default_factory=list)
-    #: Per-block compressed size in bytes.
-    block_sizes: List[int] = field(default_factory=lambda: [64] * BLOCKS_PER_PAGE)
+    #: Per-block compressed size in bytes.  Placement shares one tuple
+    #: among the pages of a ``PageRecord``; the first write gives the
+    #: page its own list (see ``CompressoController.serve_writeback``).
+    block_sizes: Sequence[int] = field(
+        default_factory=lambda: [64] * BLOCKS_PER_PAGE)
     is_incompressible: bool = False
 
     def compressed_page_bytes(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ModelInvariantError
 from repro.common.units import PAGE_SIZE
@@ -147,21 +147,34 @@ class ML2FreeLists:
         Returns ``None`` when the class is empty and ML1 cannot donate the
         chunks for a new super-chunk (the controller must evict first).
         """
-        size = self.class_for(compressed_size)
-        stack = self._lists[size]
-        while stack and not stack[-1].has_free:
-            stack.pop()  # fully-allocated super-chunks leave the list
-        if not stack:
-            m, n = superchunk_geometry(size)
-            chunks = ml1.pop_many(m)
-            if chunks is None:
-                return None
-            stack.append(SuperChunk.carve(size, chunks, n))
-        superchunk = stack[-1]
-        slot = superchunk.free_slots.pop()
-        if not superchunk.has_free:
-            stack.pop()
-        return SubChunk(superchunk, slot)
+        return self.alloc_many((self.class_for(compressed_size),), ml1)[0]
+
+    def alloc_many(self, classes: Iterable[int],
+                   ml1: ML1FreeList) -> List[Optional[SubChunk]]:
+        """One allocation per size class in ``classes`` (sizes already
+        rounded by :meth:`class_for`), in order; ``None`` where one
+        fails.  Bulk placement takes every ML2 page's sub-chunk here in
+        one call."""
+        lists = self._lists
+        subchunks: List[Optional[SubChunk]] = []
+        append = subchunks.append
+        for size in classes:
+            stack = lists[size]
+            while stack and not stack[-1].free_slots:
+                stack.pop()  # fully-allocated super-chunks leave the list
+            if not stack:
+                m, n = superchunk_geometry(size)
+                chunks = ml1.pop_many(m)
+                if chunks is None:
+                    append(None)
+                    continue
+                stack.append(SuperChunk.carve(size, chunks, n))
+            superchunk = stack[-1]
+            free_slots = superchunk.free_slots
+            append(SubChunk(superchunk, free_slots.pop()))
+            if not free_slots:
+                stack.pop()
+        return subchunks
 
     def free(self, subchunk: SubChunk, ml1: ML1FreeList) -> None:
         """Release a sub-chunk; dismantles empty super-chunks into ML1."""
@@ -194,7 +207,3 @@ class ML2FreeLists:
         elif not had_free:
             # 0 free -> 1 free: back on top of its list (Section IV-B).
             stack.append(superchunk)
-
-    def free_subchunks(self, size: int) -> int:
-        """Free sub-chunks currently available in one class."""
-        return sum(len(sc.free_slots) for sc in self._lists[self.class_for(size)])

@@ -10,7 +10,7 @@ with the same 1% probability (compressibility may have changed).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.common.lru import IntLRU
 from repro.common.registry import Registry
@@ -54,6 +54,11 @@ class RecencyList:
             self._list.move_to_end(ppn)
         else:
             self._list.insert_mru(ppn)
+
+    def fill(self, ppns: Iterable[int]) -> None:
+        """Fill a new list, coldest page first: the order of one
+        :meth:`push_hot` per page."""
+        self._list.fill(ppns)
 
     def on_access(self, ppn: int) -> bool:
         """Maybe refresh recency for an ML1 access; True if sampled."""

@@ -191,7 +191,8 @@ def test_free_subchunks_accounting():
     ml1 = make_ml1()
     ml2 = ML2FreeLists()
     ml2.alloc(1536, ml1)
-    assert ml2.free_subchunks(1536) == 7
+    stack = ml2._lists[ml2.class_for(1536)]
+    assert sum(len(sc.free_slots) for sc in stack) == 7
 
 
 def test_invalid_size_classes():

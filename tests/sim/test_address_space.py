@@ -5,9 +5,13 @@ placement from one :class:`~repro.sim.space.AddressSpace`.  These tests
 pin the sharing, and hash the space before and after runs of every
 controller -- TMCC harvesting embedded CTEs, two-level migration under a
 half-footprint budget, resilience mode, huge pages, virtualized runs --
-to show that nothing a simulator does reaches the shared state.
+to show that nothing a simulator does reaches the shared state.  The
+runs also share one compression model, as every controller on a
+workload does in the benchmarks: its records (Compresso's placement
+shares their block-size tuples) are hashed too.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -50,6 +54,13 @@ def space_digest(space) -> str:
     return digest.hexdigest()
 
 
+def records_digest(model) -> str:
+    """Every field of every record of a compression model."""
+    return hashlib.sha256(repr([dataclasses.astuple(record)
+                                for record in model.records]).encode()
+                          ).hexdigest()
+
+
 def test_multicore_shares_the_drift_free_address_space():
     shared = _small()
     single = Simulator(shared, controller="tmcc", seed=3, placement_drift=0.0)
@@ -62,17 +73,18 @@ def test_multicore_shares_the_drift_free_address_space():
 def test_shared_address_space_is_never_written(shape):
     kwargs, fraction, golden, golden_controller = SHAPES[shape]
     shared = _small()
-    space = Simulator(shared, controller="uncompressed", seed=3,
-                      **kwargs).space
+    first = Simulator(shared, controller="uncompressed", seed=3, **kwargs)
+    space, model = first.space, first.model
     before = space_digest(space)
+    records = records_digest(model)
     budget = _budget(shared, fraction)
     runs = [(controller, {}) for controller in available_controllers()]
     runs += [("tmcc", {"dram_budget_bytes": budget}),
              ("osinspired", {"dram_budget_bytes": budget}),
              ("tmcc", {"resilience": True})]
     for controller, options in runs:
-        sim = Simulator(shared, controller=controller, seed=3, **kwargs,
-                        **options)
+        sim = Simulator(shared, controller=controller, seed=3, model=model,
+                        **kwargs, **options)
         assert sim.space is space
         sim.run()
         if controller == "tmcc" and not kwargs.get("huge_pages"):
@@ -81,6 +93,7 @@ def test_shared_address_space_is_never_written(shape):
         if "dram_budget_bytes" in options:
             assert sim.controller.ml2_page_count > 0
     assert space_digest(space) == before
+    assert records_digest(model) == records
     fresh = Simulator(_small(), controller="uncompressed", seed=3, **kwargs)
     assert space_digest(fresh.space) == before
     # The shared space, after all those runs, still gives the golden.

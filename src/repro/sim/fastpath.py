@@ -13,8 +13,9 @@ nothing for them.
   and for each ``_EVENTS`` access its ops in issue order -- cache hit
   levels, LLC-miss blocks, dirty writebacks, PTB fetches to harvest,
   and a ``_WALKED`` marker ending a TLB miss's walk.  The trace is
-  preprocessed column-wise (numpy when available) once per run; the TLB
-  and the L1 probe are inlined and batched.
+  preprocessed column-wise (numpy when available) once per run; then
+  every access takes one path, in trace order: the inlined TLB lookup,
+  the walk on a miss, and the inlined L1 probe.
 * The **back-end pass** owns all time arithmetic.  It replays the
   recording through ``MemoryController.serve_l3_miss_fast``,
   ``serve_writeback`` and ``note_ptb_fetch``, and runs the hooks: the
@@ -54,7 +55,7 @@ of this loop byte for byte.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress as _compress, islice, repeat
+from itertools import chain, islice, repeat
 from typing import NamedTuple, Optional
 
 from repro.cache.sa_cache import DIRTY
@@ -64,9 +65,6 @@ from repro.core.pipeline import ServiceTimeline
 from repro.sim.columns import trace_columns
 from repro.sim.tracing import CATEGORY_WALK
 from repro.vm.nested import GUEST_FETCH
-
-#: Largest pre-classified chunk the batched front end will take at once.
-_MAX_CHUNK = 512
 
 #: A run supervisor's watchdog samples the wall clock, and its heartbeat
 #: fires, once per this many accesses -- cheap enough to leave on, coarse
@@ -413,15 +411,6 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
             kind_append(note)
             arg_append(arg)
 
-    # Batched front end ingredients: membership predicates (all C-level)
-    # and the adaptive chunk widths.
-    tlb_has = tlb_slots.__contains__
-    l1_has = l1_index.__contains__
-    nl_has = nl_outstanding.__contains__
-    from_keys = dict.fromkeys
-    chunk = 64   # outer (TLB-hit) pre-classification width
-    lchunk = 8   # inner (L1-hit) window width
-
     index = start
     tlb_misses = sim._tlb_misses
     l3_data_misses = sim._l3_data_misses
@@ -432,90 +421,6 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
                 stat.reset()
             tlb_misses = 0
             l3_data_misses = 0
-
-        # -- batched front end -------------------------------------------
-        # Two-level chunk pre-classification.  Outer: the TLB-hit prefix
-        # of the next chunk (nothing ever invalidates TLB entries mid-run,
-        # and hits never change TLB membership, so the prefix stays valid
-        # however the accesses below unfold); its lookups/fills collapse
-        # to bulk stat sums plus one recency move per distinct tag (last
-        # occurrence wins).  Inner: within the TLB-hit run, all-(mapped ∧
-        # L1 hit) windows batch the same way; L1 *membership* only changes
-        # on a miss, so each window is valid up to its first predicted
-        # miss and the residue access runs through ``data``, after which
-        # the window re-classifies.  Chunks never straddle the warmup
-        # boundary.  Final state is identical to the scalar loop's:
-        # recency moves collapse to each key's last occurrence and stats
-        # are bulk sums.  L1 hits after TLB hits get a zero code.
-        end = index + chunk
-        if index < reset_at < end:
-            end = reset_at
-        if end > stop:
-            end = stop
-        span = end - index
-        if span >= 2:
-            seg_tags = tags[index:end]
-            tflags = list(map(tlb_has, seg_tags))
-            try:
-                tp = tflags.index(False)
-            except ValueError:
-                tp = span
-            # Streak-adaptive outer width.
-            chunk = 2 * tp + 2
-            if chunk > _MAX_CHUNK:
-                chunk = _MAX_CHUNK
-            elif chunk < 16:
-                chunk = 16
-            if tp:
-                tlb_stats.total += tp
-                tlb_stats.hits += tp
-                for t in reversed(from_keys(
-                        reversed(seg_tags[:tp] if tp != span
-                                 else seg_tags))):
-                    tlb_move(t)
-                stop_hits = index + tp
-                while index < stop_hits:
-                    wend = index + lchunk
-                    if wend > stop_hits:
-                        wend = stop_hits
-                    seg_blocks = gblocks[index:wend]
-                    lflags = list(map(l1_has, seg_blocks))
-                    try:
-                        q = lflags.index(False)
-                    except ValueError:
-                        q = wend - index
-                    lchunk = 2 * q + 2
-                    if lchunk > 64:
-                        lchunk = 64
-                    elif lchunk < 4:
-                        lchunk = 4
-                    if q:
-                        if q != len(seg_blocks):
-                            seg_blocks = seg_blocks[:q]
-                        l1_stats.total += q
-                        l1_stats.hits += q
-                        for b in reversed(from_keys(reversed(seg_blocks))):
-                            order = l1_orders[b & l1_mask]
-                            if order[-1] != b:
-                                order.remove(b)
-                                order.append(b)
-                        if prefetch_on and nl_outstanding:
-                            for b in filter(nl_has, seg_blocks):
-                                nl_outstanding[b] = True
-                        for b in _compress(seg_blocks,
-                                           writes[index:index + q]):
-                            l1_index[b] |= DIRTY
-                        index += q
-                    if index < stop_hits:
-                        # Residue inside a TLB-hit run: an unmapped vpn
-                        # or (far more often) an L1 miss.
-                        if data(index, False):
-                            l3_data_misses += 1
-                        index += 1
-                if tp == span:
-                    continue
-                # else: the access at ``index`` is a known TLB miss;
-                # fall through to the full per-access path.
 
         # -- TLB lookup (TLB.lookup + TLB.fill, inlined) ----------------
         tag = tags[index]

@@ -34,7 +34,6 @@ from datetime import date
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.numpy_compat import numpy_or_none
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
 from repro.sim.experiments import run_workload
@@ -68,9 +67,10 @@ def host_metadata() -> Dict[str, object]:
     """Identify the measuring host inside the benchmark document.
 
     Throughput is a host property, so every document records the CPU
-    model (from ``/proc/cpuinfo`` where available), the Python version,
-    and whether numpy was live for the run -- enough to judge whether
-    two documents are comparable before reading their rates.
+    model (from ``/proc/cpuinfo`` where available) and the Python
+    version -- enough to judge whether two documents are comparable
+    before reading their rates.  (Documents before the numpy mask was
+    removed also carry a ``numpy`` flag.)
     """
     cpu = platform.processor() or platform.machine()
     try:
@@ -86,7 +86,6 @@ def host_metadata() -> Dict[str, object]:
         "machine": platform.machine(),
         "system": platform.system(),
         "cpu": cpu,
-        "numpy": numpy_or_none() is not None,
     }
 
 

@@ -402,9 +402,9 @@ class TwoLevelController(MemoryController):
         self.dram.stream(chunk * PAGE_SIZE, 64, now_ns, is_write=True)
         self.recency.push_hot(ppn)
         self.stats.counter("ml2_to_ml1_migrations").increment()
-        if self._probe is not None:
-            self._probe.emit("migration", now_ns, direction="ml2_to_ml1",
-                             ppn=ppn)
+        probe = self._probe
+        if probe is not None and probe.bus.active:
+            probe.emit("migration", now_ns, direction="ml2_to_ml1", ppn=ppn)
 
     # ------------------------------------------------------------------
     # Eviction pump (ML1 -> ML2)
@@ -474,9 +474,10 @@ class TwoLevelController(MemoryController):
             foreground_ns += self._compress_ns(record)
             self.cte_cache.invalidate_page(victim)
             self.stats.counter("ml1_to_ml2_evictions").increment()
-            if self._probe is not None:
-                self._probe.emit("migration", now_ns, direction="ml1_to_ml2",
-                                 ppn=victim)
+            probe = self._probe
+            if probe is not None and probe.bus.active:
+                probe.emit("migration", now_ns, direction="ml1_to_ml2",
+                           ppn=victim)
             evicted += 1
         return foreground_ns
 

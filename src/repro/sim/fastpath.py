@@ -12,8 +12,12 @@ nothing for them.
   a :class:`FrontEndRecording`: per access a hit level or ``_EVENTS``,
   and for each ``_EVENTS`` access its ops in issue order -- cache hit
   levels, LLC-miss blocks, dirty writebacks, PTB fetches to harvest,
-  and a ``_WALKED`` marker ending a TLB miss's walk.  The trace is
-  preprocessed column-wise (numpy when available) once per run; then
+  and a ``_WALKED`` marker ending a TLB miss's walk.  Once per run the
+  trace's address column is split into compact ``array`` columns of
+  vpns, TLB tags and global blocks (:mod:`repro.sim.columns`, 8 B per
+  access each; the write column is the trace's own).  The pass turns
+  ``_SPAN`` accesses of the tag and block columns at a time into lists,
+  so it makes no int per access and holds no full-length list; then
   every access takes one path, in trace order: the inlined TLB lookup,
   the walk on a miss, and the inlined L1 probe.
 * The **back-end pass** owns all time arithmetic.  It replays the
@@ -62,7 +66,7 @@ from repro.cache.sa_cache import DIRTY
 from repro.common.lru import IntLRU
 from repro.core.base import MemoryController, PATH_CTE_HIT, PATH_ML2
 from repro.core.pipeline import ServiceTimeline
-from repro.sim.columns import trace_columns
+from repro.sim.columns import global_blocks, trace_columns
 from repro.sim.tracing import CATEGORY_WALK
 from repro.vm.nested import GUEST_FETCH
 
@@ -84,6 +88,10 @@ _PTB_MISS = 9   # + guest fetch: LLC miss of a PTB, arg = address << 3 | level
 _NOTE = 11      # + huge leaf: harvest a fetched PTB, arg as for _PTB_MISS
 _END = 13       # closes an access's ops
 
+#: Accesses per span whose tag and block entries the front-end pass
+#: turns into lists at once: indexing an ``array`` makes an int per read.
+_SPAN = 1 << 12
+
 
 class FrontEndRecording(NamedTuple):
     """One front-end pass over a trace, replayable under any controller."""
@@ -98,10 +106,10 @@ class FrontEndRecording(NamedTuple):
 class _Columns(NamedTuple):
     """Per-run inputs of the front-end pass, shared by its segments."""
 
-    vpns: list
-    tags: list
-    gblocks: list  # ppn * 64 + block index, or -1 for an unmapped vpn
-    writes: list
+    vpns: array
+    tags: array    # the vpns without huge pages
+    gblocks: array  # ppn * 64 + block index, or -1 for an unmapped vpn
+    writes: bytearray  # the trace's write column: 1 for a write
     codes: bytearray
     walk_cache: dict  # vpn -> ((level, ptb address) pairs, huge) | None
 
@@ -298,9 +306,7 @@ def _columns(sim) -> _Columns:
     vpns, tags, blocks, writes = trace_columns(trace, sim.huge_pages)
     # Translation is static (same invariant the walk-path memo relies
     # on), so the global-block column is precomputed once.
-    memo_get = sim.space.translation.get
-    gblocks = [-1 if (p := memo_get(v)) is None else p * 64 + b
-               for v, b in zip(vpns, blocks)]
+    gblocks = global_blocks(vpns, blocks, sim.space.translation)
     return _Columns(vpns, tags, gblocks, writes, bytearray(len(trace)), {})
 
 
@@ -349,13 +355,12 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
     kind_append = kinds.append
     arg_append = args.append
 
-    def data(index: int, tlb_missed: bool) -> bool:
+    def data(index: int, block: int, is_write: int,
+             tlb_missed: bool) -> bool:
         """Access ``index``'s data block (the L1 hit is
         CacheHierarchy.access_fast unrolled): record it and close the
         access; True when it missed the LLC."""
-        block = gblocks[index]
         if block >= 0:
-            is_write = writes[index]
             if prefetch_on and block in nl_outstanding:
                 nl_outstanding[block] = True
             l1_stats.total += 1
@@ -411,76 +416,80 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
             kind_append(note)
             arg_append(arg)
 
-    index = start
     tlb_misses = sim._tlb_misses
     l3_data_misses = sim._l3_data_misses
+    tag_view = memoryview(tags)
+    block_view = memoryview(gblocks)
 
-    while index < stop:
-        if index == reset_at:
-            for stat in front_stats:
-                stat.reset()
-            tlb_misses = 0
-            l3_data_misses = 0
+    # A span of the compact columns at a time becomes lists (_SPAN).
+    for span in range(start, stop, _SPAN):
+        end = min(stop, span + _SPAN)
+        for index, tag, block, is_write in zip(
+                range(span, end), tag_view[span:end].tolist(),
+                block_view[span:end].tolist(), writes[span:end]):
+            if index == reset_at:
+                for stat in front_stats:
+                    stat.reset()
+                tlb_misses = 0
+                l3_data_misses = 0
 
-        # -- TLB lookup (TLB.lookup + TLB.fill, inlined) ----------------
-        tag = tags[index]
-        tlb_stats.total += 1
-        if tag in tlb_slots:
-            tlb_stats.hits += 1
-            tlb_move(tag)
-            tlb_missed = False
-        else:
-            tlb_missed = True
-            tlb_misses += 1
-            vpn = vpns[index]
-            if nested_walk is not None:
-                # A 2D walk (NestedPageWalker.walk): every fetch goes
-                # through the caches; only host PTBs are harvested.
-                try:
-                    fetches = nested_walk(vpn).fetches
-                except KeyError:
-                    fetches = ()
-                for kind, level, address in fetches:
-                    ptb_fetch(address, level,
-                              None if kind == GUEST_FETCH else _NOTE)
-            else:
-                # -- page walk (PageWalker.walk, inlined with the static
-                # walk path memoized: the PWC start level, its LRU/stat
-                # updates and the walker counters still run per walk) --
-                walks_counter.value += 1
-                if vpn in walk_cache:
-                    cached = walk_cache[vpn]
-                else:
-                    try:
-                        path = walk_path(vpn)
-                    except KeyError:
-                        cached = walk_cache[vpn] = None
-                    else:
-                        cached = walk_cache[vpn] = (
-                            tuple((lvl, addr) for lvl, addr, _ in path),
-                            path[-1][0] == 2,
-                        )
-                if cached is not None:
-                    path_pairs, walk_huge = cached
-                    start_level = pwc_first(vpn)
-                    fetches = [pair for pair in path_pairs
-                               if pair[0] <= start_level]
-                    ptb_fetches_counter.value += len(fetches)
-                    pwc_fill(vpn)
-                    for level, ptb_address in fetches:
-                        ptb_fetch(ptb_address, level,
-                                  _NOTE + (walk_huge and level == 2))
-            kind_append(_WALKED)
+            # -- TLB lookup (TLB.lookup + TLB.fill, inlined) ----------------
+            tlb_stats.total += 1
             if tag in tlb_slots:
+                tlb_stats.hits += 1
                 tlb_move(tag)
+                tlb_missed = False
             else:
-                if len(tlb_slots) >= tlb_entries:
-                    tlb_pop()
-                tlb_insert(tag, 0)
+                tlb_missed = True
+                tlb_misses += 1
+                vpn = vpns[index]
+                if nested_walk is not None:
+                    # A 2D walk (NestedPageWalker.walk): every fetch goes
+                    # through the caches; only host PTBs are harvested.
+                    try:
+                        fetches = nested_walk(vpn).fetches
+                    except KeyError:
+                        fetches = ()
+                    for kind, level, address in fetches:
+                        ptb_fetch(address, level,
+                                  None if kind == GUEST_FETCH else _NOTE)
+                else:
+                    # -- page walk (PageWalker.walk, inlined with the static
+                    # walk path memoized: the PWC start level, its LRU/stat
+                    # updates and the walker counters still run per walk) --
+                    walks_counter.value += 1
+                    if vpn in walk_cache:
+                        cached = walk_cache[vpn]
+                    else:
+                        try:
+                            path = walk_path(vpn)
+                        except KeyError:
+                            cached = walk_cache[vpn] = None
+                        else:
+                            cached = walk_cache[vpn] = (
+                                tuple((lvl, addr) for lvl, addr, _ in path),
+                                path[-1][0] == 2,
+                            )
+                    if cached is not None:
+                        path_pairs, walk_huge = cached
+                        start_level = pwc_first(vpn)
+                        fetches = [pair for pair in path_pairs
+                                   if pair[0] <= start_level]
+                        ptb_fetches_counter.value += len(fetches)
+                        pwc_fill(vpn)
+                        for level, ptb_address in fetches:
+                            ptb_fetch(ptb_address, level,
+                                      _NOTE + (walk_huge and level == 2))
+                kind_append(_WALKED)
+                if tag in tlb_slots:
+                    tlb_move(tag)
+                else:
+                    if len(tlb_slots) >= tlb_entries:
+                        tlb_pop()
+                    tlb_insert(tag, 0)
 
-        if data(index, tlb_missed):
-            l3_data_misses += 1
-        index += 1
+            if data(index, block, is_write, tlb_missed):
+                l3_data_misses += 1
 
     sim._tlb_misses = tlb_misses
     sim._l3_data_misses = l3_data_misses
@@ -541,6 +550,7 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
     # Observer hooks; an access without ops skips them all unless one
     # must run per access.
     trace = sim.workload.trace
+    addresses = trace.addresses
     tracer = sim.tracer
     injector = sim._fault_injector
     bus = sim.context.bus
@@ -556,6 +566,9 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
     fig5_cte_misses = sim._fig5_cte_misses
     fig5_after_tlb = sim._fig5_after_tlb
     op = 0
+    # The tracer sees every access of the pass, in order.
+    next_record = (trace.records(start, stop).__next__ if tracer is not None
+                   else None)
 
     try:
         while index < stop:
@@ -588,7 +601,7 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
 
             now += compute_ns
             if tracer is not None:
-                vaddr, is_write = trace[index]
+                vaddr, is_write = next_record()
                 tracer.begin_access(now, index=index, vaddr=vaddr,
                                     write=is_write)
             code = codes[index]
@@ -601,7 +614,7 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
                 op = end + 1
                 walk_span = None
                 if watch_walks and _WALKED in ops:
-                    vpn = trace[index][0] >> 12
+                    vpn = addresses[index] >> 12
                     if publish is not None:
                         publish("sim.tlb_miss", now, vpn=vpn)
                     if tracer is not None:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import rshift
 from typing import Dict, Optional, Tuple
 
 from repro.sim.context import SimContext
@@ -111,7 +112,7 @@ def _placement(workload: Workload, translation: Dict[int, int],
     ML2 -- the residual ML2 traffic Figure 21 reports.
     """
     # Counter keeps first-touch order, so equally hot pages keep it.
-    counts = Counter([vaddr >> 12 for vaddr, _ in workload.trace])
+    counts = Counter(map(rshift, workload.trace.addresses, repeat(12)))
     ranked_vpns = sorted(counts, key=counts.get, reverse=True)
     drifted = [vpn for vpn in ranked_vpns if chance(drift)]
     drifted_set = set(drifted)

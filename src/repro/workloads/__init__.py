@@ -19,7 +19,7 @@ dataset, so this package synthesizes each workload's *memory behaviour*:
 - :mod:`repro.workloads.dumps` -- the memory-dump corpus behind Figure 15.
 """
 
-from repro.workloads.trace import Access, Workload
+from repro.workloads.trace import Access, Trace, Workload
 from repro.workloads.graphs import CSRGraph, graph_workload, GRAPH_KERNELS
 from repro.workloads.generators import (
     mcf_workload,
@@ -49,6 +49,7 @@ from repro.workloads.traceio import (
 
 __all__ = [
     "Access",
+    "Trace",
     "Workload",
     "CSRGraph",
     "graph_workload",

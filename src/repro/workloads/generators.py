@@ -15,12 +15,10 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_SIZE
 from repro.workloads.content import ContentSynthesizer
-from repro.workloads.trace import Access, Workload
+from repro.workloads.trace import Trace, Workload
 
 _MCF_BASE = 2 << 32
 _OMNETPP_BASE = 3 << 32
@@ -35,23 +33,28 @@ def mcf_workload(footprint_pages: int = 24_000, max_accesses: int = 120_000,
     rng = DeterministicRNG(seed)
     footprint_bytes = footprint_pages * PAGE_SIZE
     num_nodes = footprint_bytes // 64  # 64 B arc records
-    trace: List[Access] = []
+    trace = Trace()
+    addresses, writes = trace.addresses, trace.writes
     node = rng.randint(0, num_nodes - 1)
-    while len(trace) < max_accesses:
+    while len(addresses) < max_accesses:
         address = _MCF_BASE + node * 64
-        trace.append((address, False))
+        addresses.append(address)
+        writes.append(False)
         # Touch a couple of fields of the record (same block / next block).
-        trace.append((address + 32, False))
+        addresses.append(address + 32)
+        writes.append(False)
         if rng.chance(0.25):
-            trace.append((address + 16, True))  # cost update
+            addresses.append(address + 16)
+            writes.append(True)  # cost update
         # Chase: mostly a far pointer, sometimes the adjacent arc.
         if rng.chance(0.75):
             node = rng.zipf_index(num_nodes, exponent=0.9)
         else:
             node = (node + 1) % num_nodes
+    trace.truncate(max_accesses)
     return Workload(
         name="mcf",
-        trace=trace[:max_accesses],
+        trace=trace,
         footprint_pages=footprint_pages,
         content=ContentSynthesizer("mcf", seed).page,
         compute_cycles_per_access=3.0,
@@ -68,31 +71,38 @@ def omnetpp_workload(footprint_pages: int = 8_000, max_accesses: int = 120_000,
     heap_bytes = heap_slots * 32
     # Module records fill the rest of the declared footprint.
     num_modules = (footprint_pages * PAGE_SIZE - heap_bytes - 256) // 256
-    trace: List[Access] = []
+    trace = Trace()
+    addresses, writes = trace.addresses, trace.writes
     heap_base = _OMNETPP_BASE
     modules_base = _OMNETPP_BASE + heap_bytes
-    while len(trace) < max_accesses:
+    while len(addresses) < max_accesses:
         # Pop-min: touch the heap root and a log-depth path.
         depth = rng.randint(2, 12)
         slot = 0
         for _ in range(depth):
-            trace.append((heap_base + slot * 32, True))
+            addresses.append(heap_base + slot * 32)
+            writes.append(True)
             slot = 2 * slot + 1 + rng.randint(0, 1)
             slot %= heap_slots
         # Handle the event: read/update one module's state.
         module = rng.zipf_index(num_modules, exponent=0.8)
         address = modules_base + module * 256
-        trace.append((address, False))
-        trace.append((address + 64, False))
-        trace.append((address + 128, True))
+        addresses.append(address)
+        writes.append(False)
+        addresses.append(address + 64)
+        writes.append(False)
+        addresses.append(address + 128)
+        writes.append(True)
         # Schedule a follow-up event: heap insert path.
         slot = heap_slots - 1 - rng.randint(0, 63)
         for _ in range(rng.randint(1, 6)):
-            trace.append((heap_base + slot * 32, True))
+            addresses.append(heap_base + slot * 32)
+            writes.append(True)
             slot //= 2
+    trace.truncate(max_accesses)
     return Workload(
         name="omnetpp",
-        trace=trace[:max_accesses],
+        trace=trace,
         footprint_pages=footprint_pages,
         content=ContentSynthesizer("omnetpp", seed).page,
         compute_cycles_per_access=4.5,
@@ -112,21 +122,27 @@ def canneal_workload(footprint_pages: int = 32_000, max_accesses: int = 120_000,
     """
     rng = DeterministicRNG(seed)
     num_elements = footprint_pages * PAGE_SIZE // 32  # 32 B netlist elements
-    trace: List[Access] = []
-    while len(trace) < max_accesses:
+    trace = Trace()
+    addresses, writes = trace.addresses, trace.writes
+    while len(addresses) < max_accesses:
         a = rng.zipf_index(num_elements, exponent=0.9)
         b = rng.zipf_index(num_elements, exponent=0.9)
         addr_a = _CANNEAL_BASE + a * 32
         addr_b = _CANNEAL_BASE + b * 32
         # Evaluate both elements' costs, then swap (two writes).
-        trace.append((addr_a, False))
-        trace.append((addr_b, False))
+        addresses.append(addr_a)
+        writes.append(False)
+        addresses.append(addr_b)
+        writes.append(False)
         if rng.chance(0.4):
-            trace.append((addr_a, True))
-            trace.append((addr_b, True))
+            addresses.append(addr_a)
+            writes.append(True)
+            addresses.append(addr_b)
+            writes.append(True)
+    trace.truncate(max_accesses)
     return Workload(
         name="canneal",
-        trace=trace[:max_accesses],
+        trace=trace,
         footprint_pages=footprint_pages,
         content=ContentSynthesizer("canneal", seed).page,
         compute_cycles_per_access=1.5,
@@ -147,33 +163,38 @@ def small_workload(kernel: str, footprint_pages: int = 1_500,
     rng = DeterministicRNG(seed + hash(kernel) % 1000)
     base = _SMALL_BASE
     footprint_bytes = footprint_pages * PAGE_SIZE
-    trace: List[Access] = []
+    trace = Trace()
+    addresses, writes = trace.addresses, trace.writes
     if kernel == "rocksdb":
         # Zipf point gets over an in-memory block cache.
         num_blocks = footprint_bytes // 4096
-        while len(trace) < max_accesses:
+        while len(addresses) < max_accesses:
             block = rng.zipf_index(num_blocks, exponent=0.99)
             start = base + block * 4096
             for offset in range(0, rng.randint(256, 1024), 64):
-                trace.append((start + offset, False))
+                addresses.append(start + offset)
+                writes.append(False)
             if rng.chance(0.1):
-                trace.append((start, True))  # memtable-ish update
+                addresses.append(start)
+                writes.append(True)  # memtable-ish update
     else:
         # Streaming kernels: long sequential scans with a small stride mix.
         position = 0
-        while len(trace) < max_accesses:
+        while len(addresses) < max_accesses:
             run = rng.randint(64, 512)
             stride = 64 if kernel == "blackscholes" else rng.choice([64, 128])
             write_every = 4 if kernel == "swaptions" else 8
             for i in range(run):
                 address = base + (position % footprint_bytes)
-                trace.append((address, i % write_every == 0))
+                addresses.append(address)
+                writes.append(i % write_every == 0)
                 position += stride
             if rng.chance(0.2):
                 position = rng.randint(0, footprint_bytes - 1) & ~63
+    trace.truncate(max_accesses)
     return Workload(
         name=kernel,
-        trace=trace[:max_accesses],
+        trace=trace,
         footprint_pages=footprint_pages,
         content=ContentSynthesizer(
             "rocksdb" if kernel == "rocksdb" else "small", seed).page,
@@ -196,35 +217,45 @@ def bandwidth_workload(kernel: str, footprint_pages: int = 6_000,
     base = _BW_BASE
     footprint_bytes = footprint_pages * PAGE_SIZE
     third = footprint_bytes // 3 & ~4095
-    trace: List[Access] = []
+    trace = Trace()
+    addresses, writes = trace.addresses, trace.writes
     position = 0
-    while len(trace) < max_accesses:
+    while len(addresses) < max_accesses:
         if kernel == "stream":
             # Triad: a[i] = b[i] + s*c[i]; three streams, one written.
-            trace.append((base + third + position % third, False))
-            trace.append((base + 2 * third + position % third, False))
-            trace.append((base + position % third, True))
+            addresses.append(base + third + position % third)
+            writes.append(False)
+            addresses.append(base + 2 * third + position % third)
+            writes.append(False)
+            addresses.append(base + position % third)
+            writes.append(True)
             position += 64
         elif kernel == "sp":
             # Strided panels (NAS SP-like): stride across planes.
             plane = (position // 64) % 96
-            trace.append((base + (plane * 32_768 + position) % footprint_bytes,
-                          plane % 3 == 0))
+            addresses.append(
+                base + (plane * 32_768 + position) % footprint_bytes)
+            writes.append(plane % 3 == 0)
             position += 64
         elif kernel == "D":
             # Random-ish gather/scatter bursts.
             start = rng.randint(0, footprint_bytes - 4096) & ~63
             for offset in range(0, 512, 64):
-                trace.append((base + start + offset, offset == 0))
+                addresses.append(base + start + offset)
+                writes.append(offset == 0)
         else:  # hpcg: sparse matvec -- sequential rows + indexed gathers
-            trace.append((base + position % third, False))
+            addresses.append(base + position % third)
+            writes.append(False)
             gather = rng.zipf_index(third // 64) * 64
-            trace.append((base + third + gather, False))
-            trace.append((base + 2 * third + position % third, True))
+            addresses.append(base + third + gather)
+            writes.append(False)
+            addresses.append(base + 2 * third + position % third)
+            writes.append(True)
             position += 64
+    trace.truncate(max_accesses)
     return Workload(
         name=kernel,
-        trace=trace[:max_accesses],
+        trace=trace,
         footprint_pages=footprint_pages,
         content=ContentSynthesizer("stream", seed).page,
         compute_cycles_per_access=1.0,

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_SIZE
-from repro.workloads.trace import Access, Workload
+from repro.workloads.trace import Trace, Workload
 
 #: Base virtual address of graph data (arbitrary, page aligned).
 GRAPH_BASE = 1 << 32
@@ -82,7 +82,9 @@ class _TraceBuilder:
     def __init__(self, graph: CSRGraph, max_accesses: int) -> None:
         self.graph = graph
         self.max_accesses = max_accesses
-        self.trace: List[Access] = []
+        self.trace = Trace()
+        self._add_address = self.trace.addresses.append
+        self._add_write = self.trace.writes.append
         v = graph.num_vertices
         #: Bytes per vertex-property record (one cache block, like
         #: GraphBIG's property structs).
@@ -97,8 +99,9 @@ class _TraceBuilder:
     # -- address helpers -------------------------------------------------
 
     def _record(self, address: int, write: bool) -> None:
-        self.trace.append((address, write))
-        if len(self.trace) >= self.max_accesses:
+        self._add_address(address)
+        self._add_write(write)
+        if len(self.trace.addresses) >= self.max_accesses:
             raise _TraceBuilder._Done
 
     def offsets(self, i: int, write: bool = False) -> None:

@@ -1,17 +1,91 @@
-"""Trace record types.
+"""Traces and workloads.
 
-A trace is a list of ``Access`` tuples -- kept as plain tuples, not
-objects, because the simulator replays hundreds of thousands of them per
-benchmark and Python attribute access would dominate the runtime.
+A :class:`Trace` stores its accesses as two columns: ``addresses``, an
+``array('Q')`` of virtual byte addresses, and ``writes``, a
+``bytearray`` holding 1 for a write and 0 for a read.  That is 9 B per
+access, where a list of ``(vaddr, is_write)`` tuples costs about 90 B,
+and the simulator replays traces of millions of accesses.  Producers
+append to the two columns; every consumer that wants records goes
+through :meth:`Trace.records`, which yields ``(vaddr, is_write)`` with
+``is_write`` a ``bool``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Tuple
+
+from repro.common.errors import ConfigError
 
 #: One memory access: (virtual byte address, is_write).
 Access = Tuple[int, bool]
+
+
+class Trace:
+    """A workload's accesses as an address column and a write-flag column.
+
+    Build one empty and append to both columns (the generators do), or
+    from records with :meth:`from_records`.  A trace is treated as
+    immutable once its workload is built.
+    """
+
+    __slots__ = ("addresses", "writes")
+
+    def __init__(self, addresses: Optional[array] = None,
+                 writes: Optional[bytearray] = None) -> None:
+        self.addresses = array("Q") if addresses is None else addresses
+        self.writes = bytearray() if writes is None else writes
+        if len(self.addresses) != len(self.writes):
+            raise ConfigError(f"trace has {len(self.addresses)} addresses "
+                              f"but {len(self.writes)} write flags")
+
+    @classmethod
+    def from_records(cls, records: Iterable[Access]) -> "Trace":
+        """A trace of ``(vaddr, is_write)`` records; raises
+        :class:`ConfigError` for an address that does not fit 64 bits."""
+        trace = cls()
+        add_address = trace.addresses.append
+        add_write = trace.writes.append
+        for index, (address, is_write) in enumerate(records):
+            try:
+                add_address(address)
+            except OverflowError:
+                raise address_error(index, address) from None
+            add_write(1 if is_write else 0)
+        return trace
+
+    def truncate(self, length: int) -> None:
+        """Keep the first ``length`` accesses."""
+        del self.addresses[length:]
+        del self.writes[length:]
+
+    def records(self, start: int = 0, stop: Optional[int] = None
+                ) -> Iterator[Access]:
+        """``(vaddr, is_write)`` for accesses ``[start, stop)``."""
+        addresses = memoryview(self.addresses)[start:stop]
+        writes = memoryview(self.writes)[start:stop]
+        return zip(addresses, map(bool, writes))
+
+    def __iter__(self) -> Iterator[Access]:
+        return self.records()
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.addresses == other.addresses and self.writes == other.writes
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} accesses)"
+
+
+def address_error(index: int, address: int) -> ConfigError:
+    """The error for access ``index`` whose address is not 64-bit."""
+    return ConfigError(f"access {index}: address {address:#x} does not fit "
+                       f"64 bits")
 
 
 @dataclass
@@ -36,7 +110,7 @@ class Workload:
     """
 
     name: str
-    trace: List[Access]
+    trace: Trace
     footprint_pages: int
     content: Callable[[int], bytes]
     compute_cycles_per_access: float = 4.0
@@ -51,20 +125,6 @@ class Workload:
         state["_space"] = None
         return state
 
-    def touched_vpns(self) -> List[int]:
-        """Distinct virtual pages the trace touches, in first-touch order."""
-        seen = {}
-        for vaddr, _ in self.trace:
-            vpn = vaddr >> 12
-            if vpn not in seen:
-                seen[vpn] = None
-        return list(seen)
-
     @property
     def access_count(self) -> int:
         return len(self.trace)
-
-    def write_fraction(self) -> float:
-        if not self.trace:
-            return 0.0
-        return sum(1 for _, w in self.trace if w) / len(self.trace)

@@ -22,29 +22,35 @@ comments) is also supported for hand-written traces.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from repro.workloads.trace import Access, Workload
+import numpy as np
+
+from repro.workloads.trace import Access, Trace, Workload, address_error
 
 _MAGIC = b"RTRC"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
 
 
-def save_trace(trace: List[Access], path: Union[str, Path]) -> None:
-    """Write a trace in the binary ``.rtrc`` format."""
-    path = Path(path)
-    with path.open("wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _VERSION, 0, len(trace)))
-        packer = struct.Struct("<Q")
-        for address, is_write in trace:
-            if address < 0 or address >= 1 << 62:
-                raise ValueError(f"address {address:#x} out of range")
-            f.write(packer.pack((address << 1) | int(is_write)))
+def save_trace(trace: Iterable[Access], path: Union[str, Path]) -> None:
+    """Write a trace (a :class:`Trace` or records) as binary ``.rtrc``."""
+    words = array("Q")
+    for address, is_write in trace:
+        if address < 0 or address >= 1 << 62:
+            raise ValueError(f"address {address:#x} out of range")
+        words.append((address << 1) | (1 if is_write else 0))
+    if sys.byteorder == "big":
+        words.byteswap()
+    with Path(path).open("wb") as f:
+        f.write(_HEADER.pack(_MAGIC, _VERSION, 0, len(words)))
+        words.tofile(f)
 
 
-def load_trace(path: Union[str, Path]) -> List[Access]:
+def load_trace(path: Union[str, Path]) -> Trace:
     """Read a binary ``.rtrc`` trace."""
     path = Path(path)
     data = path.read_bytes()
@@ -60,13 +66,19 @@ def load_trace(path: Union[str, Path]) -> List[Access]:
         raise ValueError(
             f"trace truncated: {len(data)} bytes, expected {expected}"
         )
-    trace: List[Access] = []
-    for (word,) in struct.iter_unpack("<Q", data[_HEADER.size:]):
-        trace.append((word >> 1, bool(word & 1)))
-    return trace
+    addresses = array("Q")
+    addresses.frombytes(memoryview(data)[_HEADER.size:])
+    del data
+    if sys.byteorder == "big":
+        addresses.byteswap()
+    # Split each (address << 1) | is_write word in place.
+    words = np.frombuffer(addresses, dtype=np.uint64)
+    writes = bytearray(words.astype(np.uint8) & 1)
+    np.right_shift(words, 1, out=words)
+    return Trace(addresses, writes)
 
 
-def save_trace_text(trace: List[Access], path: Union[str, Path]) -> None:
+def save_trace_text(trace: Iterable[Access], path: Union[str, Path]) -> None:
     """Write the human-readable text format."""
     path = Path(path)
     with path.open("w") as f:
@@ -75,9 +87,13 @@ def save_trace_text(trace: List[Access], path: Union[str, Path]) -> None:
             f.write(f"{'W' if is_write else 'R'} {address:#x}\n")
 
 
-def load_trace_text(path: Union[str, Path]) -> List[Access]:
-    """Read the text format (``R``/``W`` + address per line)."""
-    trace: List[Access] = []
+def load_trace_text(path: Union[str, Path]) -> Trace:
+    """Read the text format (``R``/``W`` + address per line); raises
+    :class:`~repro.common.errors.ConfigError` for an address that does
+    not fit 64 bits."""
+    trace = Trace()
+    add_address = trace.addresses.append
+    add_write = trace.writes.append
     for line_number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -85,7 +101,12 @@ def load_trace_text(path: Union[str, Path]) -> List[Access]:
         parts = line.split()
         if len(parts) != 2 or parts[0] not in ("R", "W"):
             raise ValueError(f"{path}:{line_number}: expected 'R|W <addr>'")
-        trace.append((int(parts[1], 0), parts[0] == "W"))
+        address = int(parts[1], 0)
+        try:
+            add_address(address)
+        except OverflowError:
+            raise address_error(len(trace.writes), address) from None
+        add_write(parts[0] == "W")
     return trace
 
 
@@ -108,9 +129,8 @@ def workload_from_trace(
         trace = load_trace_text(path)
     if not trace:
         raise ValueError(f"{path} contains no accesses")
-    vpns = [address >> 12 for address, _ in trace]
-    base_vpn = min(vpns)
-    footprint_pages = max(vpns) - base_vpn + 1
+    base_vpn = min(trace.addresses) >> 12
+    footprint_pages = (max(trace.addresses) >> 12) - base_vpn + 1
     if content is None:
         from repro.workloads.content import ContentSynthesizer
 

@@ -1,15 +1,19 @@
 """Tests for the shared virtual-address decomposition (`repro.sim.columns`).
 
 The replay loop splits accesses through this module; these tests pin
-the decomposition itself (including the huge-page tag) and prove the
-three `trace_columns` spellings -- numpy, pure python, and the
-beyond-int64 overflow fallback -- agree with the per-access helper.
+the decomposition itself (including the huge-page tag), prove that
+`trace_columns` of a compact trace agrees with the per-access helper,
+and that `global_blocks` agrees with a per-access translation.
 """
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.sim.columns import decompose_vaddr, trace_columns
+from repro.common.errors import ConfigError
+from repro.sim.columns import decompose_vaddr, global_blocks, trace_columns
+from repro.workloads.trace import Trace
+
+ADDRESSES = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
 def test_decompose_known_values():
@@ -21,8 +25,7 @@ def test_decompose_known_values():
     assert decompose_vaddr(0, huge_pages=True) == (0, 0, 0)
 
 
-@given(st.integers(min_value=0, max_value=(1 << 64) - 1),
-       st.booleans())
+@given(ADDRESSES, st.booleans())
 def test_decompose_field_relations(vaddr, huge):
     vpn, tag, block = decompose_vaddr(vaddr, huge)
     assert vpn == vaddr >> 12
@@ -31,45 +34,76 @@ def test_decompose_field_relations(vaddr, huge):
     assert block == (vaddr >> 6) & 0x3F
 
 
-@pytest.mark.parametrize("huge", [False, True])
-def test_trace_columns_matches_per_access_helper(huge):
-    trace = [((i * 0x1F123) & ((1 << 48) - 1), bool(i % 3))
-             for i in range(257)]
-    vpns, tags, blocks, writes = trace_columns(trace, huge)
-    assert len(vpns) == len(tags) == len(blocks) == len(writes) == len(trace)
-    for i, (vaddr, is_write) in enumerate(trace):
+def assert_columns_match(records, huge):
+    vpns, tags, blocks, writes = trace_columns(Trace.from_records(records),
+                                               huge)
+    assert len(vpns) == len(tags) == len(blocks) == len(writes) == len(records)
+    for i, (vaddr, is_write) in enumerate(records):
         vpn, tag, block = decompose_vaddr(vaddr, huge)
         assert (vpns[i], tags[i], blocks[i]) == (vpn, tag, block)
         assert writes[i] == is_write
 
 
+@pytest.mark.parametrize("huge", [False, True])
+def test_trace_columns_matches_per_access_helper(huge):
+    assert_columns_match([((i * 0x1F123) & ((1 << 48) - 1), bool(i % 3))
+                          for i in range(257)], huge)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(ADDRESSES, st.booleans()), max_size=300),
+       st.booleans())
+def test_trace_columns_of_a_compact_trace_match_decompose(records, huge):
+    """Every access, 4 KiB or huge pages, across the whole 64-bit range
+    (the top bit included)."""
+    assert_columns_match(records, huge)
+
+
 def test_trace_columns_small_pages_share_the_vpn_column():
-    trace = [(0x1234000, False), (0x1235000, True)]
-    vpns, tags, _, _ = trace_columns(trace, huge_pages=False)
+    trace = Trace.from_records([(0x1234000, False), (0x1235000, True)])
+    vpns, tags, _, writes = trace_columns(trace, huge_pages=False)
     assert tags is vpns  # no huge pages: the tag column IS the vpn column
+    assert writes is trace.writes  # the trace's own column, not a copy
 
 
-@pytest.mark.parametrize("huge", [False, True])
-def test_trace_columns_beyond_int64_falls_back(huge):
-    """Addresses past int64 overflow numpy's fromiter; the pure-python
-    fallback (arbitrary precision) must produce the same columns."""
-    big = 1 << 70
-    trace = [(big | (0x7 << 12) | (3 << 6), False), (big * 2, True)]
-    vpns, tags, blocks, writes = trace_columns(trace, huge)
-    for i, (vaddr, is_write) in enumerate(trace):
-        assert (vpns[i], tags[i], blocks[i]) == decompose_vaddr(vaddr, huge)
-        assert writes[i] == is_write
-    assert vpns[0] == (big >> 12) | 0x7
-
-
-@pytest.mark.parametrize("huge", [False, True])
-def test_trace_columns_identical_with_numpy_masked(monkeypatch, huge):
-    trace = [((i * 0xABCD5) & ((1 << 52) - 1), i % 2 == 0)
-             for i in range(64)]
-    with_numpy = trace_columns(trace, huge)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert trace_columns(trace, huge) == with_numpy
+@pytest.mark.parametrize("address", [1 << 64, 1 << 70, -1],
+                         ids=["2**64", "2**70", "negative"])
+def test_trace_beyond_64_bits_is_a_config_error(address):
+    records = [(0x1000, False), (0x2000, True), (address, False)]
+    with pytest.raises(ConfigError, match=f"access 2: address {address:#x}"):
+        Trace.from_records(records)
 
 
 def test_trace_columns_empty_trace():
-    assert trace_columns([], huge_pages=False) == ([], [], [], [])
+    columns = trace_columns(Trace(), huge_pages=False)
+    assert [len(column) for column in columns] == [0, 0, 0, 0]
+    assert len(global_blocks(columns[0], columns[2], {5: 7})) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4095)),
+                max_size=300),
+       st.dictionaries(st.integers(0, 40), st.integers(0, 1 << 40),
+                       max_size=30))
+def test_global_blocks_match_a_per_access_translation(accesses, translation):
+    trace = Trace.from_records([(vpn << 12 | offset, False)
+                                for vpn, offset in accesses])
+    vpns, _, blocks, _ = trace_columns(trace, huge_pages=False)
+    expected = [-1 if vpn not in translation
+                else translation[vpn] * 64 + (offset >> 6)
+                for vpn, offset in accesses]
+    assert global_blocks(vpns, blocks, translation).tolist() == expected
+
+
+def test_global_blocks_span_chunks():
+    """More accesses than one chunk of numpy scratch space."""
+    count = 150_000
+    trace = Trace.from_records(((i % 97) << 12 | (i % 64) << 6, False)
+                               for i in range(count))
+    vpns, _, blocks, _ = trace_columns(trace, huge_pages=False)
+    translation = {vpn: 1000 + vpn for vpn in range(0, 97, 2)}
+    gblocks = global_blocks(vpns, blocks, translation)
+    for i in (0, 1, 65_535, 65_536, 131_073, count - 1):
+        vpn = i % 97
+        assert gblocks[i] == (-1 if vpn % 2 else
+                              (1000 + vpn) * 64 + i % 64)

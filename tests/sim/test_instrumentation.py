@@ -247,3 +247,40 @@ def test_probe_emit_namespaces_every_kind():
     Probe("controller", bus=bus).emit("migration", 2.0, pages=3)
     assert [e.kind for e in seen] == ["walker.ptb_hit", "controller.migration"]
     assert seen[1].payload == {"pages": 3}
+
+
+def test_migrations_emit_only_to_an_active_bus(monkeypatch):
+    """An unobserved run builds no migration event; with a subscriber,
+    every migration is published once, in both directions."""
+    from repro.sim.simulator import Simulator
+    from repro.workloads.suite import workload_by_name
+
+    emitted = []
+    emit = Probe.emit
+
+    def counting(self, kind, time_ns, **payload):
+        if kind == "migration":
+            emitted.append(payload["direction"])
+        emit(self, kind, time_ns, **payload)
+
+    monkeypatch.setattr(Probe, "emit", counting)
+    workload = workload_by_name("mcf", max_accesses=6_000, scale=0.05)
+    # Tight enough that pages also migrate out to ML2.
+    budget = int(0.55 * workload.footprint_pages * 4096)
+
+    def run(observed):
+        sim = Simulator(workload, controller="tmcc", dram_budget_bytes=budget)
+        seen = []
+        if observed:
+            sim.context.bus.subscribe("controller.migration", seen.append)
+        sim.run()
+        stats = sim.controller.stats
+        return seen, (stats.counter("ml2_to_ml1_migrations").value
+                      + stats.counter("ml1_to_ml2_evictions").value)
+
+    seen, _ = run(observed=False)
+    assert emitted == [] and seen == []
+    seen, migrations = run(observed=True)
+    assert {"ml2_to_ml1", "ml1_to_ml2"} <= set(emitted)
+    assert [event.payload["direction"] for event in seen] == emitted
+    assert len(seen) >= migrations > 0

@@ -1,9 +1,12 @@
 """Unit tests for simulator internals: warmup, placement, classification."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.simulator import Simulator
 from repro.workloads.suite import workload_by_name
+from repro.workloads.trace import Trace
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +80,10 @@ def test_budget_is_respected_end_to_end(workload):
 
 def test_trace_outside_footprint_does_not_crash():
     """Addresses past the mapped region are skipped gracefully."""
-    workload = workload_by_name("omnetpp", max_accesses=4_000, scale=0.05)
-    workload.trace.append(((workload.base_vpn + workload.footprint_pages + 99)
-                           << 12, False))
+    built = workload_by_name("omnetpp", max_accesses=4_000, scale=0.05)
+    outside = (built.base_vpn + built.footprint_pages + 99) << 12
+    workload = replace(built, trace=Trace.from_records(
+        [*built.trace, (outside, False)]))
     result = Simulator(workload, controller="tmcc").run()
     assert result.accesses > 0
 

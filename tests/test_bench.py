@@ -18,7 +18,6 @@ from repro.bench import (
 )
 from repro.cli import main
 from repro.common.errors import ConfigError
-from repro.common.numpy_compat import numpy_or_none
 
 
 def document(rates, suite_rate=None):
@@ -135,13 +134,7 @@ def test_host_metadata_identifies_the_machine():
     host = host_metadata()
     assert host["python"].count(".") == 2
     assert isinstance(host["cpu"], str) and host["cpu"]
-    assert host["numpy"] is (numpy_or_none() is not None)
     assert {"machine", "system"} <= host.keys()
-
-
-def test_host_metadata_numpy_flag_respects_mask(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert host_metadata()["numpy"] is False
 
 
 def test_controller_rates_aggregate_not_average():
@@ -172,6 +165,18 @@ def test_render_history_table(tmp_path):
     assert "1.00x" in early_row and "2.00x" in late_row
     assert late_row.split()[1] == "1,000"  # 1000 acc / 1.0 s, uncompressed
     assert "-" in early_row.split()  # compresso column absent in fixture
+
+
+def test_render_history_reads_documents_with_a_numpy_host_flag(tmp_path):
+    """Documents written while numpy could be masked carry a
+    ``host.numpy`` flag; the history still reads them."""
+    host = dict(host_metadata(), numpy=True)
+    write_document(dict(document({("mcf", "tmcc"): 500.0}, suite_rate=500.0),
+                        host=host),
+                   str(tmp_path / "BENCH_2026-08-08.json"))
+    table = render_history(str(tmp_path))
+    assert table.splitlines()[2].startswith("BENCH_2026-08-08.json")
+    assert "numpy" not in host_metadata()
 
 
 def test_render_history_rejects_empty_directory(tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import ConfigError
 from repro.sim.simulator import Simulator
 from repro.workloads.traceio import (
     load_trace,
@@ -11,6 +12,7 @@ from repro.workloads.traceio import (
     save_trace_text,
     workload_from_trace,
 )
+from repro.workloads.trace import Trace
 
 SAMPLE = [(0x1000, False), (0x1040, True), (0xFFFF_0000, False)]
 
@@ -18,13 +20,13 @@ SAMPLE = [(0x1000, False), (0x1040, True), (0xFFFF_0000, False)]
 def test_binary_roundtrip(tmp_path):
     path = tmp_path / "t.rtrc"
     save_trace(SAMPLE, path)
-    assert load_trace(path) == SAMPLE
+    assert list(load_trace(path)) == SAMPLE
 
 
 def test_text_roundtrip(tmp_path):
     path = tmp_path / "t.trace"
     save_trace_text(SAMPLE, path)
-    assert load_trace_text(path) == SAMPLE
+    assert list(load_trace_text(path)) == SAMPLE
 
 
 def test_binary_rejects_bad_magic(tmp_path):
@@ -64,7 +66,7 @@ def test_text_rejects_garbage(tmp_path):
 def test_text_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "t.trace"
     path.write_text("# header\n\nR 0x40\nW 64\n")
-    assert load_trace_text(path) == [(0x40, False), (64, True)]
+    assert list(load_trace_text(path)) == [(0x40, False), (64, True)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,7 +75,7 @@ def test_text_skips_comments_and_blanks(tmp_path):
 def test_binary_roundtrip_property(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("traces") / "p.rtrc"
     save_trace(trace, path)
-    assert load_trace(path) == trace
+    assert list(load_trace(path)) == trace
 
 
 def test_workload_from_trace_runs_in_simulator(tmp_path):
@@ -94,3 +96,30 @@ def test_workload_from_empty_trace_rejected(tmp_path):
     save_trace([], path)
     with pytest.raises(ValueError, match="no accesses"):
         workload_from_trace(path)
+
+
+def test_binary_load_equals_its_record_list(tmp_path):
+    records = [((i * 0x9E3779B1) % (1 << 62), i % 3 == 0) for i in range(1000)]
+    path = tmp_path / "r.rtrc"
+    save_trace(records, path)
+    loaded = load_trace(path)
+    assert loaded == Trace.from_records(records)
+    assert list(loaded) == records
+    # A saved Trace round-trips through its record iterator.
+    save_trace(loaded, path)
+    assert load_trace(path) == loaded
+
+
+def test_text_load_equals_its_record_list(tmp_path):
+    records = [(0x7FFF_0000_1000, True), (0x40, False), ((1 << 64) - 1, True)]
+    path = tmp_path / "r.trace"
+    save_trace_text(Trace.from_records(records), path)
+    assert load_trace_text(path) == Trace.from_records(records)
+
+
+def test_text_address_beyond_64_bits_is_a_config_error(tmp_path):
+    path = tmp_path / "big.trace"
+    path.write_text("# two accesses\nR 0x40\n\nW 0x10000000000000000\n")
+    with pytest.raises(ConfigError,
+                       match="access 1: address 0x10000000000000000"):
+        load_trace_text(path)

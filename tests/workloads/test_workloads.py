@@ -19,6 +19,12 @@ from repro.workloads.suite import (
 )
 
 
+def write_fraction(workload):
+    """Share of the workload's accesses that write."""
+    writes = workload.trace.writes
+    return sum(writes) / len(writes) if writes else 0.0
+
+
 # ----------------------------------------------------------------------
 # CSR graph
 # ----------------------------------------------------------------------
@@ -90,7 +96,7 @@ def test_kernels_have_distinct_locality():
 
 def test_writes_present_in_kernels():
     workload = graph_workload("pageRank", num_vertices=2000, max_accesses=5000)
-    assert 0.0 < workload.write_fraction() < 0.5
+    assert 0.0 < write_fraction(workload) < 0.5
 
 
 # ----------------------------------------------------------------------
@@ -169,24 +175,16 @@ def test_paper_workloads_subset():
         assert workload.access_count >= 1000
 
 
-def test_touched_vpns_first_touch_order():
-    workload = workload_by_name("omnetpp", max_accesses=2000, scale=0.05)
-    vpns = workload.touched_vpns()
-    assert len(vpns) == len(set(vpns))
-    assert vpns[0] == workload.trace[0][0] >> 12
-
-
 # ----------------------------------------------------------------------
 # Workload record helpers
 # ----------------------------------------------------------------------
 
 def test_write_fraction_empty_trace():
-    from repro.workloads.trace import Workload
+    from repro.workloads.trace import Trace, Workload
 
-    workload = Workload(name="empty", trace=[], footprint_pages=1,
+    workload = Workload(name="empty", trace=Trace(), footprint_pages=1,
                         content=lambda vpn: bytes(4096))
-    assert workload.write_fraction() == 0.0
-    assert workload.touched_vpns() == []
+    assert write_fraction(workload) == 0.0
     assert workload.access_count == 0
 
 

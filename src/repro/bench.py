@@ -10,7 +10,9 @@ Two artifacts live in ``benchmarks/perf/``:
 
 - ``BENCH_<date>.json`` -- one measurement document per recorded run;
   the dated series is the performance trajectory of the simulator
-  itself (see ``docs/performance.md``).
+  itself (see ``docs/performance.md``).  Each document also records
+  the process's peak resident set (``peak_rss_mb``); documents from
+  before that field still load and compare.
 - ``baseline.json`` -- the committed reference the CI ``bench`` job
   compares against; :func:`compare_to_baseline` flags any
   configuration (or the suite aggregate) that regressed by more than
@@ -29,6 +31,7 @@ import glob
 import json
 import os
 import platform
+import sys
 import time
 from datetime import date
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -89,6 +92,18 @@ def host_metadata() -> Dict[str, object]:
     }
 
 
+def peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set so far, in MB (``ru_maxrss``);
+    None where the platform has no ``resource`` module."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports kilobytes, macOS bytes.
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def run_suite(
     accesses: int = BENCH_ACCESSES,
     workloads: Sequence[str] = BENCH_WORKLOADS,
@@ -145,6 +160,7 @@ def run_suite(
         "suite_accesses": total,
         "suite_elapsed_s": round(suite_elapsed, 2),
         "suite_accesses_per_s": round(total / suite_elapsed, 1),
+        "peak_rss_mb": peak_rss_mb(),
         "configs": records,
     }
 
@@ -279,8 +295,9 @@ def render_history(directory: str) -> str:
     """The performance-trajectory table behind ``repro bench --history``.
 
     One row per committed dated document: aggregate accesses/sec per
-    controller, the suite aggregate, and the speedup over the seed
-    tree's instrumented loop (:data:`SEED_SUITE_RATE`).
+    controller, the suite aggregate, the speedup over the seed tree's
+    instrumented loop (:data:`SEED_SUITE_RATE`) and the peak RSS ("-"
+    for documents that predate it).
     """
     documents = history_documents(directory)
     controllers = list(BENCH_CONTROLLERS)
@@ -288,7 +305,7 @@ def render_history(directory: str) -> str:
         for name in controller_rates(document):
             if name not in controllers:
                 controllers.append(name)
-    header = ["document"] + controllers + ["suite", "vs seed"]
+    header = ["document"] + controllers + ["suite", "vs seed", "peak MB"]
     rows = [header]
     for path, document in documents:
         rates = controller_rates(document)
@@ -300,6 +317,8 @@ def render_history(directory: str) -> str:
             row += [f"{suite:,.0f}", f"{suite / SEED_SUITE_RATE:.2f}x"]
         else:
             row += ["-", "-"]
+        rss = document.get("peak_rss_mb")
+        row.append(f"{rss:,.1f}" if isinstance(rss, (int, float)) else "-")
         rows.append(row)
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = []

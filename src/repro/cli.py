@@ -1104,6 +1104,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"suite: {document['suite_accesses']} accesses in "
           f"{document['suite_elapsed_s']}s = "
           f"{document['suite_accesses_per_s']:,.0f} acc/s")
+    if document["peak_rss_mb"] is not None:
+        print(f"peak RSS: {document['peak_rss_mb']:,.1f} MB")
     print(f"benchmark document written to {out}")
     if baseline is not None:
         regressions = compare_to_baseline(document, baseline,

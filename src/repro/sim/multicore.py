@@ -23,7 +23,7 @@ shared ``controller.cte_cache.hit_rate``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.sa_cache import SetAssociativeCache
@@ -142,9 +142,13 @@ class MultiCoreSimulator:
 
     def run(self, warmup_fraction: float = 0.2) -> SimResult:
         """Replay the partitioned trace; cores interleave by local time."""
-        streams: List[List] = [[] for _ in range(self.num_cores)]
-        for index, access in enumerate(self.workload.trace):
-            streams[index % self.num_cores].append(access)
+        # Core i replays accesses i, i + n, i + 2n, ...: strided views of
+        # the trace's two columns, so no per-core copy is made.
+        trace = self.workload.trace
+        addresses = memoryview(trace.addresses)
+        writes = memoryview(trace.writes)
+        streams = [(addresses[i::self.num_cores], writes[i::self.num_cores])
+                   for i in range(self.num_cores)]
         compute_ns = self.system.cycles_to_ns(
             self.workload.compute_cycles_per_access)
 
@@ -157,11 +161,14 @@ class MultiCoreSimulator:
             # The least-advanced core with work remaining executes next;
             # that's how concurrent streams interleave at the shared MC.
             candidates = [c for c in self.cores
-                          if positions[c.index] < len(streams[c.index])]
+                          if positions[c.index] < len(streams[c.index][0])]
             if not candidates:
                 break
             core = min(candidates, key=lambda c: c.now_ns)
-            vaddr, is_write = streams[core.index][positions[core.index]]
+            core_addresses, core_writes = streams[core.index]
+            position = positions[core.index]
+            vaddr = core_addresses[position]
+            is_write = bool(core_writes[position])
             positions[core.index] += 1
             executed += 1
             if executed == warmup:

@@ -13,7 +13,8 @@ instead of being baked in.
 Memory layout (byte addresses, one contiguous virtual region):
 
     offsets:   (V + 1) x 8 B
-    edges:     E x 8 B
+    edges:     E x 8 B       (the simulated layout; the host keeps the
+                              targets as int32, see CSRGraph)
     prop A/B:  V x 64 B each     (vertex property structs: ranks, labels,
                                   distances, degrees... GraphBIG keeps
                                   cache-block-sized records per vertex)
@@ -34,13 +35,22 @@ from repro.workloads.trace import Trace, Workload
 #: Base virtual address of graph data (arbitrary, page aligned).
 GRAPH_BASE = 1 << 32
 
+#: Edge targets drawn per step of :meth:`CSRGraph.power_law`: set-up
+#: holds one chunk of float64 scratch (512 KB), not edge-length
+#: temporaries.
+_EDGE_CHUNK = 1 << 16
+
 
 @dataclass
 class CSRGraph:
-    """Compressed-sparse-row graph with Zipf-skewed degrees."""
+    """Compressed-sparse-row graph with Zipf-skewed degrees.
+
+    Edge targets are vertex ids, so the host stores them as int32 (half
+    the bytes of int64); ``num_vertices`` must fit int32.
+    """
 
     offsets: np.ndarray  # int64[V + 1]
-    edges: np.ndarray    # int64[E]
+    edges: np.ndarray    # int32[E]
 
     @property
     def num_vertices(self) -> int:
@@ -60,8 +70,11 @@ class CSRGraph:
         Targets are also Zipf-skewed (hubs attract edges), matching social
         graphs like the paper's datagen-8_5-fb dataset.
         """
+        if num_vertices > np.iinfo(np.int32).max:
+            raise ValueError(f"num_vertices {num_vertices} does not fit "
+                             f"the int32 edge column")
         rng = np.random.default_rng(seed)
-        raw = rng.zipf(1.6, size=num_vertices).astype(np.int64)
+        raw = rng.zipf(1.6, size=num_vertices)
         degrees = np.minimum(raw * avg_degree // 2, num_vertices // 2)
         scale = (num_vertices * avg_degree) / max(1, degrees.sum())
         degrees = np.maximum(1, (degrees * scale).astype(np.int64))
@@ -69,8 +82,18 @@ class CSRGraph:
         np.cumsum(degrees, out=offsets[1:])
         num_edges = int(offsets[-1])
         # Hub-skewed targets: square a uniform to bias toward low ids.
-        targets = (rng.random(num_edges) ** 2 * num_vertices).astype(np.int64)
-        return cls(offsets=offsets, edges=targets)
+        # Drawn a chunk at a time into one scratch buffer: the chunks
+        # read the same random stream as one full draw, and assigning
+        # float64 into the int32 column truncates like astype.
+        edges = np.empty(num_edges, dtype=np.int32)
+        scratch = np.empty(min(num_edges, _EDGE_CHUNK))
+        for start in range(0, num_edges, _EDGE_CHUNK):
+            chunk = scratch[:min(_EDGE_CHUNK, num_edges - start)]
+            rng.random(out=chunk)
+            np.square(chunk, out=chunk)
+            np.multiply(chunk, num_vertices, out=chunk)
+            edges[start:start + len(chunk)] = chunk
+        return cls(offsets=offsets, edges=edges)
 
 
 class _TraceBuilder:
@@ -285,7 +308,7 @@ def _shortest_path(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None
 
 def _kcore(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
-    degrees = [int(g.offsets[i + 1] - g.offsets[i]) for i in range(v)]
+    degrees = np.diff(g.offsets).tolist()
     k = 2
     while True:
         removed_any = False

@@ -1,6 +1,7 @@
 """Tests for the pinned performance suite (``repro.bench`` + CLI)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.bench import (
     default_output_name,
     host_metadata,
     load_document,
+    peak_rss_mb,
     render_history,
     run_suite,
     write_document,
@@ -111,6 +113,7 @@ def test_cli_bench_runs_and_gates(tmp_path, capsys):
         "uncompressed", "compresso", "tmcc"]
     assert all(c["accesses_per_s"] > 0 for c in record["configs"])
     assert record["suite_accesses"] == 3 * 1500
+    assert record["peak_rss_mb"] > 0
 
     relaxed = tmp_path / "relaxed.json"
     write_document({**record, "configs": [
@@ -165,6 +168,34 @@ def test_render_history_table(tmp_path):
     assert "1.00x" in early_row and "2.00x" in late_row
     assert late_row.split()[1] == "1,000"  # 1000 acc / 1.0 s, uncompressed
     assert "-" in early_row.split()  # compresso column absent in fixture
+
+
+def test_peak_rss_is_this_process_in_megabytes():
+    """``peak_rss_mb`` is the kernel's high-water mark, in MB."""
+    status = Path("/proc/self/status")
+    if not status.exists():
+        pytest.skip("needs Linux's per-process status file")
+    hwm_kb = next(int(line.split()[1])
+                  for line in status.read_text().splitlines()
+                  if line.startswith("VmHWM:"))
+    assert peak_rss_mb() == pytest.approx(hwm_kb / 1024, abs=1.0)
+
+
+def test_render_history_shows_peak_rss_and_reads_older_documents(tmp_path):
+    """Documents from before ``peak_rss_mb`` load, compare and render
+    with a "-" in the peak column."""
+    older = document({("mcf", "tmcc"): 500.0}, suite_rate=500.0)
+    newer = dict(document({("mcf", "tmcc"): 600.0}, suite_rate=600.0),
+                 peak_rss_mb=93.4)
+    write_document(older, str(tmp_path / "BENCH_2026-01-01.json"))
+    write_document(newer, str(tmp_path / "BENCH_2026-02-01.json"))
+    lines = render_history(str(tmp_path)).splitlines()
+    assert lines[0].split()[-2:] == ["peak", "MB"]
+    assert lines[2].split()[-1] == "-"
+    assert lines[3].split()[-1] == "93.4"
+    loaded = load_document(str(tmp_path / "BENCH_2026-01-01.json"))
+    assert compare_to_baseline(newer, loaded, 0.20) == []
+    assert compare_to_baseline(loaded, newer, 0.20) == []
 
 
 def test_render_history_reads_documents_with_a_numpy_host_flag(tmp_path):

@@ -1,5 +1,8 @@
 """Tests for workload trace generators."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.workloads.generators import (
@@ -49,6 +52,24 @@ def test_graph_determinism():
     b = CSRGraph.power_law(1000, 8, seed=3)
     assert (a.offsets == b.offsets).all()
     assert (a.edges == b.edges).all()
+
+
+def test_power_law_graph_builds_in_place():
+    """Set-up holds little beyond the graph it keeps: no edge-length
+    float64 temporaries."""
+    tracemalloc.start()
+    try:
+        graph = CSRGraph.power_law(400_000, 12, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.edges.dtype == np.int32
+    assert peak <= 1.5 * (graph.offsets.nbytes + graph.edges.nbytes)
+
+
+def test_power_law_rejects_vertex_ids_past_int32():
+    with pytest.raises(ValueError, match="int32"):
+        CSRGraph.power_law(2**31, 12, seed=1)
 
 
 def test_neighbors_view():

@@ -27,6 +27,7 @@ from repro.core import available_controllers
 from repro.sim.experiments import run_workload
 from repro.sim.faults import FaultPlan
 from repro.sim.instrument import nest_metrics
+from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.supervisor import RunSupervisor
 from repro.sim.timeseries import TimeSeriesRecorder, write_rows_jsonl
@@ -139,8 +140,22 @@ def _truncated(workload, controller, budget, limit_s: float) -> bytes:
     return _document(sim, supervisor.run(sim))
 
 
-def _multicore(workload) -> bytes:
-    return _document(None, run_workload(workload, "tmcc", seed=3, cores=2))
+def _multicore(workload, controller: str = "tmcc", cores: int = 2) -> bytes:
+    return _document(None, run_workload(workload, controller, seed=3,
+                                        cores=cores))
+
+
+def _multicore_events(workload, controller, cores: int) -> bytes:
+    """The event stream of one multi-core run, as JSONL: each
+    ``sim.tlb_miss`` (with its ``core``) comes before the
+    ``access_path`` and ``stage`` events of its walk's PTB misses."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "events.jsonl"
+        sim = MultiCoreSimulator(workload, num_cores=cores,
+                                 controller=controller, seed=3)
+        with TraceEventWriter(path).attach(sim.context.bus):
+            sim.run()
+        return path.read_bytes()
 
 
 def golden_builders():
@@ -164,6 +179,11 @@ def golden_builders():
     builders["compresso_llc_victim_trace.jsonl"] = lambda: _traced_misses(
         _small(), "compresso_llc_victim", None)
     builders["tmcc_multicore.json"] = lambda: _multicore(_small())
+    for controller in available_controllers():
+        builders[f"{controller}_4core.json"] = (
+            lambda controller=controller: _multicore(_small(), controller, 4))
+    builders["tmcc_4core_events.jsonl"] = lambda: _multicore_events(
+        _small(), "tmcc", 4)
     builders["tmcc_iso_budget_events.jsonl"] = lambda: _events(
         _small(), "tmcc", _tmcc_iso_budget(_small()))
     builders["tmcc_virtualized.json"] = lambda: _emit_json(

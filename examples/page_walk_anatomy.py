@@ -59,22 +59,22 @@ def main() -> None:
     # -- 4. LLC miss via the parallel path ------------------------------
     controller.cte_cache.flush()  # force the CTE-cache-miss case
     target = ppns[0]
-    result = controller.serve_l3_miss(target, block_index=0, now_ns=0.0)
-    print(f"LLC miss on ppn {target:#x}: path = {result.path!r}, "
-          f"latency = {result.latency_ns:.0f} ns "
+    latency, path, _ = controller.serve_l3_miss_fast(target, 0, 0.0)
+    print(f"LLC miss on ppn {target:#x}: path = {path!r}, "
+          f"latency = {latency:.0f} ns "
           f"(data and verifying CTE fetched in parallel)")
 
     # -- 5. stale embedded CTE: verify, re-access, repair ---------------
     controller._cte[target].dram_page += 7  # the page migrated elsewhere
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(target, block_index=0, now_ns=1000.0)
-    print(f"\nafter migrating the page: path = {result.path!r}, "
-          f"latency = {result.latency_ns:.0f} ns (speculation wasted, "
+    latency, path, _ = controller.serve_l3_miss_fast(target, 0, 1000.0)
+    print(f"\nafter migrating the page: path = {path!r}, "
+          f"latency = {latency:.0f} ns (speculation wasted, "
           f"re-accessed with the correct CTE)")
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(target, block_index=0, now_ns=2000.0)
-    print(f"after the lazy repair:     path = {result.path!r}, "
-          f"latency = {result.latency_ns:.0f} ns (back to the fast path)")
+    latency, path, _ = controller.serve_l3_miss_fast(target, 0, 2000.0)
+    print(f"after the lazy repair:     path = {path!r}, "
+          f"latency = {latency:.0f} ns (back to the fast path)")
 
 
 if __name__ == "__main__":

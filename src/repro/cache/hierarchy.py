@@ -4,22 +4,21 @@ Structure: 64 KB L1 (data+instruction modeled as one), 256 KB inclusive L2,
 8 MB exclusive L3, with L1/L2 next-line + stride prefetchers.  Latencies
 are Table III's: L1 3 cycles, L2 +11, L3 +50.
 
-The hierarchy serves *block* requests and reports whether DRAM must be
-involved (``l3_miss``); the memory controller owns everything below.  Dirty
-L3 victims surface as ``dram_writebacks`` so the controller can model write
-traffic and compressed-page bookkeeping.
+The hierarchy serves *block* requests and reports the level that hit
+(3: memory, an LLC miss); the memory controller owns everything below.
+Dirty L3 victims are appended to a caller-owned writeback list so the
+controller can model write traffic and compressed-page bookkeeping.
 
 There is one access path (``access_fast``/``access_fast_miss``); its fill
 helpers work on each level's block-keyed store (``sa_cache``) directly,
 moving a line between levels as its packed flag int -- no
-:class:`~repro.cache.sa_cache.CacheLine` objects are built.  ``access``
-reports the same transitions as an :class:`AccessResult`.  The frozen
+:class:`~repro.cache.sa_cache.CacheLine` objects are built.  The frozen
 hierarchy goldens (``tests/cache/goldens``) pin the fill semantics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.prefetch import NextLinePrefetcher, StridePrefetcher
@@ -49,25 +48,6 @@ class HierarchyConfig:
     l2_stride_degree: int = 4
 
 
-@dataclass(slots=True)
-class AccessResult:
-    """What one block access did."""
-
-    hit_level: str  # "l1" | "l2" | "l3" | "memory"
-    latency_cycles: int
-    l3_miss: bool
-    dram_writebacks: List[int] = field(default_factory=list)
-    served_compressed: bool = False
-
-    @property
-    def hit(self) -> bool:
-        return self.hit_level != "memory"
-
-
-#: ``access_fast`` hit levels as ``AccessResult.hit_level`` names.
-_HIT_LEVELS = ("l1", "l2", "l3", "memory")
-
-
 class CacheHierarchy:
     """L1 + inclusive L2 + exclusive L3 with prefetch.
 
@@ -89,31 +69,10 @@ class CacheHierarchy:
         #: ``config.enable_prefetch`` is fixed at construction; the fast
         #: path reads this attribute to skip the dataclass field load.
         self._prefetch_on = config.enable_prefetch
-        #: Cycles to reach each hit level (L1, L2, L3, memory).
-        l2_cycles = config.l1_latency + config.l2_latency
-        self._latency_cycles = (config.l1_latency, l2_cycles,
-                                l2_cycles + config.l3_latency,
-                                l2_cycles + config.l3_latency)
 
     # ------------------------------------------------------------------
     # Main access path
     # ------------------------------------------------------------------
-
-    def access(self, address: int, is_write: bool = False,
-               is_ptb: bool = False) -> AccessResult:
-        """Serve one demand access; returns where it hit and at what cost.
-
-        The observed view of :meth:`access_fast`: same cache, prefetcher
-        and stat transitions, reported as an :class:`AccessResult`.
-        """
-        block = address >> 6
-        writebacks: List[int] = []
-        level = self.access_fast(block, is_write, is_ptb, writebacks)
-        # Every outcome leaves the block in L1 carrying the compressed
-        # bit of the copy that served it.
-        return AccessResult(_HIT_LEVELS[level], self._latency_cycles[level],
-                            level == 3, writebacks,
-                            bool(self.l1._index[block] & COMPRESSED))
 
     def access_fast(self, block: int, is_write: bool, is_ptb: bool,
                     writebacks: List[int]) -> int:

@@ -25,7 +25,6 @@ from repro.core.pipeline import ServiceTimeline, StageAccounting, StageSpan
 from repro.core.base import (
     CONTROLLER_REGISTRY,
     MemoryController,
-    MissResult,
     available_controllers,
     create_controller,
     register_controller,
@@ -47,7 +46,6 @@ __all__ = [
     "StageAccounting",
     "StageSpan",
     "MemoryController",
-    "MissResult",
     "CONTROLLER_REGISTRY",
     "available_controllers",
     "create_controller",

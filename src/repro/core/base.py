@@ -1,14 +1,14 @@
 """Controller interface and shared DRAM-layout bookkeeping.
 
 A memory-compression controller owns everything below the LLC: the CTE
-table in DRAM, the CTE cache, data placement, and migrations.  The
-simulator calls it for every LLC miss and dirty writeback, and (for TMCC)
-notifies it of page-walker PTB fetches so it can harvest embedded CTEs.
+table in DRAM, the CTE cache, data placement, and migrations.  Both
+replay loops (:mod:`repro.sim.fastpath`) call it for every LLC miss
+(``serve_l3_miss_fast``) and dirty writeback, and (for TMCC) notify it
+of page-walker PTB fetches so it can harvest embedded CTEs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -17,11 +17,7 @@ from repro.common.stats import StatGroup
 from repro.common.units import BLOCK_SIZE, PAGE_SIZE
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
-from repro.core.pipeline import (
-    STAGE_DATA_FETCH,
-    ServiceTimeline,
-    StageAccounting,
-)
+from repro.core.pipeline import STAGE_DATA_FETCH, StageAccounting
 from repro.core.resilience import ResilienceState
 from repro.dram.system import DRAMSystem
 
@@ -65,20 +61,6 @@ def create_controller(name: str, config: SystemConfig, dram: DRAMSystem,
     from repro import core  # noqa: F401  (imports register the built-ins)
 
     return CONTROLLER_REGISTRY.create(name, config, dram, seed=seed)
-
-
-@dataclass(slots=True)
-class MissResult:
-    """Outcome of one LLC-miss service."""
-
-    latency_ns: float
-    path: str
-    in_ml2: bool = False
-    #: The served miss's timeline: start/end of every stage (CTE
-    #: fetch, data fetch, decompress, ...).  ``latency_ns`` equals
-    #: ``timeline.total_ns``; the field carries the decomposition for
-    #: Figure 8/18-style consumers.
-    timeline: Optional[ServiceTimeline] = None
 
 
 class MemoryController:
@@ -201,21 +183,8 @@ class MemoryController:
     # service: DRAM traffic, stat mutations, stage accounting, and (with
     # an event subscriber) the ``access_path``/``stage`` events.  It
     # returns the span tuples of ``repro.core.pipeline`` instead of
-    # objects, so the replay loop calls it directly; ``serve_l3_miss``
-    # (the multi-core engine's entry) returns the same call as objects.
-
-    def serve_l3_miss(self, ppn: int, block_index: int, now_ns: float,
-                      is_write: bool = False) -> MissResult:
-        """Serve an LLC miss for block ``block_index`` of page ``ppn``.
-
-        Same service as :meth:`serve_l3_miss_fast`, returned with its
-        timeline.
-        """
-        latency, path, spans = self.serve_l3_miss_fast(
-            ppn, block_index, now_ns, is_write)
-        return MissResult(latency, path, in_ml2=path == PATH_ML2,
-                          timeline=ServiceTimeline.from_spans(
-                              now_ns, latency, spans))
+    # objects; an observer that wants the timeline builds it with
+    # ``ServiceTimeline.from_spans``.
 
     def serve_l3_miss_fast(self, ppn: int, block_index: int, now_ns: float,
                            is_write: bool = False):

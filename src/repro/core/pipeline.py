@@ -20,7 +20,7 @@ real DRAM work even off the critical path.
 the Figure 8/18 reconstructions (``repro run --breakdown``) and into
 per-stage latency histograms, and
 :meth:`ServiceTimeline.from_spans` turns them into the timeline objects
-observers consume (span tracing, ``MissResult.timeline``).
+observers consume (span tracing).
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
-"""The replay loop (``docs/performance.md``).
+"""The replay loops (``docs/performance.md``).
 
 :func:`run_fast` replays a workload trace in two passes over each
-segment of the trace.  It elides the per-access object graph
-(``AccessResult``, ``MissResult``, ``ReadResult``) and runs the
-observers as hooks looked up once per pass, so an unobserved run pays
-nothing for them.
+segment of the trace.  It returns miss service as span tuples rather
+than objects, and runs the observers as hooks looked up once per pass,
+so an unobserved run pays nothing for them.
 
 * The **front-end pass** has no clock.  It runs the TLB, the page walk
   (native, or the 2D nested walk of a virtualized run) and L1-L3 with
@@ -18,8 +17,9 @@ nothing for them.
   access each; the write column is the trace's own).  The pass turns
   ``_SPAN`` accesses of the tag and block columns at a time into lists,
   so it makes no int per access and holds no full-length list; then
-  every access takes one path, in trace order: the inlined TLB lookup,
-  the walk on a miss, and the inlined L1 probe.
+  every access, in trace order, is one call of the step that
+  :func:`front_end_step` builds: the inlined TLB lookup, the memoized
+  walk on a miss, and the inlined L1 probe.
 * The **back-end pass** owns all time arithmetic.  It replays the
   recording through ``MemoryController.serve_l3_miss_fast``,
   ``serve_writeback`` and ``note_ptb_fetch``, and runs the hooks: the
@@ -30,6 +30,11 @@ nothing for them.
   per-access order.  ``note_ptb_fetch`` gets the page table's reader
   rather than the PTEs, so a controller reads a PTB only when it needs
   to (TMCC: on the PTB's first harvest).
+
+:func:`run_cores` is the multi-core engine's loop.  Its cores interleave
+by local clock and share an L3, so it cannot record a front end ahead;
+each access takes its core's :func:`front_end_step`, and its ops are
+served at once, as the back-end pass serves them.
 
 Segments.  Whatever reads the whole metrics registry mid-run must see
 the front end no further along than the back end, so the trace splits
@@ -59,6 +64,7 @@ of this loop byte for byte.
 from __future__ import annotations
 
 from array import array
+from heapq import heapify, heappop, heapreplace
 from itertools import chain, islice, repeat
 from typing import NamedTuple, Optional
 
@@ -315,9 +321,55 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
     """Replay accesses ``[start, stop)`` through the front end, recording
     the stream; statistics reset before access ``reset_at``."""
     vpns, tags, gblocks, writes, codes, walk_cache = columns
+    kinds = bytearray()
+    args = array("q")
+    misses = [sim._tlb_misses, sim._l3_data_misses]
+    step = front_end_step(sim.tlb, sim.walker, sim.hierarchy,
+                          sim.nested_walker, vpns, walk_cache, kinds, args,
+                          misses)
+    # The front end's statistics, which the warm-up boundary resets.
+    front_stats = ([obj for obj, _ in _stat_parts(sim) if obj is not sim]
+                   if reset_at >= 0 else ())
+    tag_view = memoryview(tags)
+    block_view = memoryview(gblocks)
 
-    # Hoisted hot references.
-    tlb = sim.tlb
+    # A span of the compact columns at a time becomes lists (_SPAN).
+    for span in range(start, stop, _SPAN):
+        end = min(stop, span + _SPAN)
+        for index, tag, block, is_write in zip(
+                range(span, end), tag_view[span:end].tolist(),
+                block_view[span:end].tolist(), writes[span:end]):
+            if index == reset_at:
+                for stat in front_stats:
+                    stat.reset()
+                misses[:] = 0, 0
+            code = step(index, tag, block, is_write)
+            if code:  # ``codes`` starts as zeros: L1 hits need no store
+                codes[index] = code
+
+    sim._tlb_misses, sim._l3_data_misses = misses
+    return FrontEndRecording(None, codes, kinds, args, None)
+
+
+def front_end_step(tlb, walker, hierarchy, nested_walker, vpns,
+                   walk_cache: dict, kinds: bytearray, args: array,
+                   misses: list):
+    """The front end's per-access step, for one core's TLB, walker and
+    caches: ``step(index, tag, block, is_write)`` -> the access's code.
+
+    ``step`` runs one access whose TLB tag is ``tag`` and whose global
+    data block is ``block`` (-1: unmapped): the TLB lookup, and on a miss
+    the walk of ``vpns[index]`` -- the static walk path memoized in
+    ``walk_cache`` (shared by every step over one table), or the nested
+    walk -- with its PTB fetches through the caches and the TLB fill;
+    then the data access, its L1 probe inlined.  It returns a hit level
+    (0-2), ``_UNMAPPED`` or ``_EVENTS``; an ``_EVENTS`` access's ops,
+    closed by ``_END``, are appended to ``kinds`` and ``args``.
+    ``misses`` counts ``[TLB misses, LLC data misses]``.
+
+    The bound methods (``access_fast``, ``access_fast_miss``, the PWC's
+    and the table's) are looked up on the instances here, once.
+    """
     tlb_lru = tlb._lru
     tlb_slots = tlb_lru._slot
     tlb_move = tlb_lru.move_to_end
@@ -325,7 +377,6 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
     tlb_pop = tlb_lru.pop_lru
     tlb_entries = tlb.entries
     tlb_stats = tlb.stats
-    hierarchy = sim.hierarchy
     access_fast = hierarchy.access_fast
     access_miss = hierarchy.access_fast_miss
     # The L1 probe of the demand-access path is inlined below; these are
@@ -337,65 +388,15 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
     l1_orders = l1._orders
     l1_mask = l1.set_mask
     l1_stats = l1.stats
-    walker = sim.walker
     walks_counter = walker.walks
     ptb_fetches_counter = walker.ptb_fetches
     pwc_first = walker.pwc.first_fetch_level
     pwc_fill = walker.pwc.fill
-    walk_path = sim.table.walk_path
-    nested_walk = (sim.nested_walker.walk if sim.nested_walker is not None
-                   else None)
-    # The front end's statistics, which the warm-up boundary resets.
-    front_stats = ([obj for obj, _ in _stat_parts(sim) if obj is not sim]
-                   if reset_at >= 0 else ())
-    writebacks: list = []
-
-    kinds = bytearray()
-    args = array("q")
+    walk_path = walker.table.walk_path
+    nested_walk = nested_walker.walk if nested_walker is not None else None
     kind_append = kinds.append
     arg_append = args.append
-
-    def data(index: int, block: int, is_write: int,
-             tlb_missed: bool) -> bool:
-        """Access ``index``'s data block (the L1 hit is
-        CacheHierarchy.access_fast unrolled): record it and close the
-        access; True when it missed the LLC."""
-        if block >= 0:
-            if prefetch_on and block in nl_outstanding:
-                nl_outstanding[block] = True
-            l1_stats.total += 1
-            if block not in l1_index:
-                del writebacks[:]
-                level = access_miss(block, is_write, False, writebacks)
-                if level < 3 and not writebacks and not tlb_missed:
-                    codes[index] = level
-                    return False
-                if level < 3:
-                    kind_append(level)
-                else:
-                    kind_append(_MISS + is_write + 2 * tlb_missed)
-                    arg_append(block)
-                if writebacks:
-                    kinds.extend(repeat(_WRITEBACK, len(writebacks)))
-                    args.extend(writebacks)
-                kind_append(_END)
-                codes[index] = _EVENTS
-                return level == 3
-            l1_stats.hits += 1
-            order = l1_orders[block & l1_mask]
-            if order[-1] != block:
-                order.remove(block)
-                order.append(block)
-            if is_write:
-                l1_index[block] |= DIRTY
-            if tlb_missed:
-                kind_append(0)
-        if tlb_missed:
-            kind_append(_END)
-            codes[index] = _EVENTS
-        elif block < 0:
-            codes[index] = _UNMAPPED
-        return False
+    writebacks: list = []
 
     def ptb_fetch(address: int, level: int, note: Optional[int]) -> None:
         """Record one PTB fetch of a walk through the caches; ``note`` is
@@ -416,89 +417,125 @@ def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
             kind_append(note)
             arg_append(arg)
 
-    tlb_misses = sim._tlb_misses
-    l3_data_misses = sim._l3_data_misses
-    tag_view = memoryview(tags)
-    block_view = memoryview(gblocks)
+    # The TLB miss's ingredients ride in one closure cell: each call of
+    # ``step`` copies every cell of its closure into its frame.
+    walk_parts = (vpns, nested_walk, ptb_fetch, walks_counter, walk_cache,
+                  walk_path, pwc_first, ptb_fetches_counter, pwc_fill,
+                  tlb_entries, tlb_pop, tlb_insert)
 
-    # A span of the compact columns at a time becomes lists (_SPAN).
-    for span in range(start, stop, _SPAN):
-        end = min(stop, span + _SPAN)
-        for index, tag, block, is_write in zip(
-                range(span, end), tag_view[span:end].tolist(),
-                block_view[span:end].tolist(), writes[span:end]):
-            if index == reset_at:
-                for stat in front_stats:
-                    stat.reset()
-                tlb_misses = 0
-                l3_data_misses = 0
-
-            # -- TLB lookup (TLB.lookup + TLB.fill, inlined) ----------------
-            tlb_stats.total += 1
-            if tag in tlb_slots:
-                tlb_stats.hits += 1
-                tlb_move(tag)
-                tlb_missed = False
+    def step(index: int, tag: int, block: int, is_write: int) -> int:
+        # -- TLB lookup (TLB.lookup + TLB.fill, inlined) --------------------
+        tlb_stats.total += 1
+        if tag in tlb_slots:
+            tlb_stats.hits += 1
+            tlb_move(tag)
+            tlb_missed = False
+        else:
+            tlb_missed = True
+            misses[0] += 1
+            (vpns, nested_walk, ptb_fetch, walks_counter, walk_cache,
+             walk_path, pwc_first, ptb_fetches_counter, pwc_fill,
+             tlb_entries, tlb_pop, tlb_insert) = walk_parts
+            vpn = vpns[index]
+            if nested_walk is not None:
+                # A 2D walk (NestedPageWalker.walk): every fetch goes
+                # through the caches; only host PTBs are harvested.
+                try:
+                    fetches = nested_walk(vpn).fetches
+                except KeyError:
+                    fetches = ()
+                for kind, level, address in fetches:
+                    ptb_fetch(address, level,
+                              None if kind == GUEST_FETCH else _NOTE)
             else:
-                tlb_missed = True
-                tlb_misses += 1
-                vpn = vpns[index]
-                if nested_walk is not None:
-                    # A 2D walk (NestedPageWalker.walk): every fetch goes
-                    # through the caches; only host PTBs are harvested.
+                # -- page walk (PageWalker.walk, inlined with the static
+                # walk path memoized: the PWC start level, its LRU/stat
+                # updates and the walker counters still run per walk) ----
+                walks_counter.value += 1
+                if vpn in walk_cache:
+                    cached = walk_cache[vpn]
+                else:
                     try:
-                        fetches = nested_walk(vpn).fetches
+                        path = walk_path(vpn)
                     except KeyError:
-                        fetches = ()
-                    for kind, level, address in fetches:
-                        ptb_fetch(address, level,
-                                  None if kind == GUEST_FETCH else _NOTE)
-                else:
-                    # -- page walk (PageWalker.walk, inlined with the static
-                    # walk path memoized: the PWC start level, its LRU/stat
-                    # updates and the walker counters still run per walk) --
-                    walks_counter.value += 1
-                    if vpn in walk_cache:
-                        cached = walk_cache[vpn]
+                        cached = walk_cache[vpn] = None
                     else:
-                        try:
-                            path = walk_path(vpn)
-                        except KeyError:
-                            cached = walk_cache[vpn] = None
-                        else:
-                            cached = walk_cache[vpn] = (
-                                tuple((lvl, addr) for lvl, addr, _ in path),
-                                path[-1][0] == 2,
-                            )
-                    if cached is not None:
-                        path_pairs, walk_huge = cached
-                        start_level = pwc_first(vpn)
-                        fetches = [pair for pair in path_pairs
-                                   if pair[0] <= start_level]
-                        ptb_fetches_counter.value += len(fetches)
-                        pwc_fill(vpn)
-                        for level, ptb_address in fetches:
-                            ptb_fetch(ptb_address, level,
-                                      _NOTE + (walk_huge and level == 2))
-                kind_append(_WALKED)
-                if tag in tlb_slots:
-                    tlb_move(tag)
+                        cached = walk_cache[vpn] = (
+                            tuple((lvl, addr) for lvl, addr, _ in path),
+                            path[-1][0] == 2,
+                        )
+                if cached is not None:
+                    path_pairs, walk_huge = cached
+                    start_level = pwc_first(vpn)
+                    fetches = [pair for pair in path_pairs
+                               if pair[0] <= start_level]
+                    ptb_fetches_counter.value += len(fetches)
+                    pwc_fill(vpn)
+                    for level, ptb_address in fetches:
+                        ptb_fetch(ptb_address, level,
+                                  _NOTE + (walk_huge and level == 2))
+            kind_append(_WALKED)
+            if tag in tlb_slots:
+                tlb_move(tag)
+            else:
+                if len(tlb_slots) >= tlb_entries:
+                    tlb_pop()
+                tlb_insert(tag, 0)
+
+        # -- data access (CacheHierarchy.access_fast, L1 hit unrolled) ------
+        if block >= 0:
+            if prefetch_on and block in nl_outstanding:
+                nl_outstanding[block] = True
+            l1_stats.total += 1
+            if block not in l1_index:
+                del writebacks[:]
+                level = access_miss(block, is_write, False, writebacks)
+                if level < 3:
+                    if not writebacks and not tlb_missed:
+                        return level
+                    kind_append(level)
                 else:
-                    if len(tlb_slots) >= tlb_entries:
-                        tlb_pop()
-                    tlb_insert(tag, 0)
+                    misses[1] += 1
+                    kind_append(_MISS + is_write + 2 * tlb_missed)
+                    arg_append(block)
+                if writebacks:
+                    kinds.extend(repeat(_WRITEBACK, len(writebacks)))
+                    args.extend(writebacks)
+                kind_append(_END)
+                return _EVENTS
+            l1_stats.hits += 1
+            order = l1_orders[block & l1_mask]
+            if order[-1] != block:
+                order.remove(block)
+                order.append(block)
+            if is_write:
+                l1_index[block] |= DIRTY
+            if not tlb_missed:
+                return 0
+            kind_append(0)
+        elif not tlb_missed:
+            return _UNMAPPED
+        kind_append(_END)
+        return _EVENTS
 
-            if data(index, block, is_write, tlb_missed):
-                l3_data_misses += 1
-
-    sim._tlb_misses = tlb_misses
-    sim._l3_data_misses = l3_data_misses
-    return FrontEndRecording(None, codes, kinds, args, None)
+    return step
 
 
 # ----------------------------------------------------------------------
 # Back-end pass: the clock, the memory controller and the observers
 # ----------------------------------------------------------------------
+
+def _hit_latencies(config) -> tuple:
+    """The stall of an access that hit L1, L2 or L3 (the L3's is also
+    the on-chip part of an LLC miss): each level's integer cycle count
+    through ``cycles_to_ns``."""
+    cache = config.cache
+    l1_cycles = cache.l1_latency
+    l2_cycles = l1_cycles + cache.l2_latency
+    l3_cycles = l2_cycles + cache.l3_latency
+    return (config.cycles_to_ns(l1_cycles), config.cycles_to_ns(l2_cycles),
+            config.cycles_to_ns(l3_cycles))
+
 
 def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
                    reset_at: int, heartbeat=None) -> None:
@@ -511,14 +548,7 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
     compute_ns = config.cycles_to_ns(sim.workload.compute_cycles_per_access)
     mlp = config.mlp_stall_factor
 
-    # Per-hit-level stall latencies: the integer cycle counts of
-    # CacheHierarchy.access through cycles_to_ns.
-    cache_config = sim.hierarchy.config
-    l1_cycles = cache_config.l1_latency
-    l2_cycles = l1_cycles + cache_config.l2_latency
-    l3_cycles = l2_cycles + cache_config.l3_latency
-    lat = (config.cycles_to_ns(l1_cycles), config.cycles_to_ns(l2_cycles),
-           config.cycles_to_ns(l3_cycles))
+    lat = _hit_latencies(config)
     lat_miss = lat[2]
     # Stall of an access without ops, by code, and the clock step after
     # its compute step: ``stall * mlp``.
@@ -674,6 +704,114 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
         state.index = index
         sim._fig5_cte_misses = fig5_cte_misses
         sim._fig5_after_tlb = fig5_after_tlb
+
+
+# ----------------------------------------------------------------------
+# The multi-core loop: each access's ops served at once
+# ----------------------------------------------------------------------
+
+def run_cores(sim, warmup: int) -> float:
+    """Replay ``sim``'s trace on its cores (a
+    :class:`~repro.sim.multicore.MultiCoreSimulator`); returns the time
+    at which access ``warmup`` started, or 0.0.
+
+    Core ``i`` replays accesses ``i, i + n, i + 2n, ...`` through its own
+    :func:`front_end_step`, and the least-advanced core with work left
+    runs next (the lowest index on a tie): that is how concurrent
+    streams interleave at the shared controller.  An access's ops are
+    served at once on its core's clock, with the back-end pass's
+    semantics and no observer but ``sim.tlb_miss`` events.
+    """
+    cores = sim.cores
+    num_cores = len(cores)
+    # Strided views of the trace's columns: no per-core copy is made.
+    vpns, _, blocks, writes = trace_columns(sim.workload.trace, False)
+    gblocks = global_blocks(vpns, blocks, sim.space.translation)
+    del blocks
+    kinds = bytearray()
+    args = array("q")
+    walk_cache: dict = {}  # the table is static: one memo for all cores
+    streams = []
+    for core in cores:
+        core_vpns = memoryview(vpns)[core.index::num_cores]
+        step = front_end_step(core.tlb, core.walker, core.hierarchy, None,
+                              core_vpns, walk_cache, kinds, args, [0, 0])
+        streams.append((step, core_vpns,
+                        memoryview(gblocks)[core.index::num_cores],
+                        memoryview(writes)[core.index::num_cores]))
+
+    config = sim.system
+    compute_ns = config.cycles_to_ns(sim.workload.compute_cycles_per_access)
+    mlp = config.mlp_stall_factor
+    lat = _hit_latencies(config)
+    lat_miss = lat[2]
+    code_stall = lat + (0.0,)
+    controller = sim.controller
+    serve_fast = controller.serve_l3_miss_fast
+    serve_writeback = controller.serve_writeback
+    note_ptb = controller.note_ptb_fetch
+    do_note = (type(controller).note_ptb_fetch
+               is not MemoryController.note_ptb_fetch)
+    table_ptb_at = sim.table.ptb_at
+    bus = sim.context.bus
+    publish = bus.publish if bus.active else None
+
+    clocks = [core.now_ns for core in cores]
+    positions = [0] * num_cores
+    ready = [(clocks[i], i) for i in range(num_cores) if len(streams[i][1])]
+    heapify(ready)
+    executed = 0
+    measure_start = 0.0
+    while ready:
+        now, i = ready[0]
+        step, core_vpns, core_blocks, core_writes = streams[i]
+        position = positions[i]
+        positions[i] = position + 1
+        executed += 1
+        if executed == warmup:
+            measure_start = max(clocks)
+        now += compute_ns
+        code = step(position, core_vpns[position], core_blocks[position],
+                    core_writes[position])
+        if code != _EVENTS:
+            stall = code_stall[code]
+        else:
+            stall = 0.0
+            if publish is not None and _WALKED in kinds:
+                publish("sim.tlb_miss", now, vpn=core_vpns[position], core=i)
+            next_arg = iter(args).__next__
+            for kind in kinds:
+                if kind < _WALKED:
+                    stall += lat[kind]
+                    continue
+                if kind == _WALKED or kind == _END:
+                    continue
+                arg = next_arg()
+                if kind < _WRITEBACK:
+                    stall += lat_miss
+                    stall += serve_fast(
+                        arg >> 6, arg & 63, now + stall,
+                        kind == _MISS + 1 or kind == _MISS + 3)[0]
+                elif kind == _WRITEBACK:
+                    serve_writeback(arg >> 6, arg & 63, now + stall)
+                elif kind < _NOTE:
+                    stall += lat_miss
+                    stall += serve_fast(arg >> 15, (arg >> 9) & 63,
+                                        now + stall, False)[0]
+                elif do_note:
+                    note_ptb(arg & 7, arg >> 3, table_ptb_at, kind != _NOTE)
+            del kinds[:]
+            del args[:]
+        now += stall * mlp
+        clocks[i] = now
+        if positions[i] < len(core_vpns):
+            heapreplace(ready, (now, i))
+        else:
+            heappop(ready)
+
+    for core, clock in zip(cores, clocks):
+        core.now_ns = clock
+    return measure_start
 
 
 def _add_miss_span(tracer, start_ns: float, latency: float, path: str,

@@ -14,6 +14,14 @@ Cores advance their own clocks; shared-resource contention appears
 through the DRAM channel's busy horizon and through L3/CTE-cache
 interference.  The reported performance is aggregate throughput.
 
+Every access takes the single-core engine's path: the front end's
+per-access step (:func:`repro.sim.fastpath.front_end_step`) on the
+core's TLB, walker and caches, then its ops served at once on the core's
+clock (:func:`repro.sim.fastpath.run_cores`).  One core at warm-up 0 is
+therefore the single-core :class:`~repro.sim.simulator.Simulator`
+without placement drift (statistics here are never reset at the
+warm-up point).
+
 Like the single-core engine, construction runs through a
 :class:`~repro.sim.context.SimContext`; per-core components live in the
 component tree under ``core<i>.*`` and shared ones at the top level, so
@@ -28,16 +36,14 @@ from typing import Dict, Optional
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.sa_cache import SetAssociativeCache
 from repro.common.units import PAGE_SIZE
-from repro.core import (  # noqa: F401  (importing registers the built-ins)
-    CONTROLLER_REGISTRY,
-    TwoLevelController,
-    create_controller,
-)
+from repro.core import CONTROLLER_REGISTRY, TwoLevelController
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
 from repro.dram.system import DRAMSystem
 from repro.sim.context import SimContext
+from repro.sim.fastpath import run_cores
 from repro.sim.results import SimResult
+from repro.sim.simulator import build_controller
 from repro.sim.space import address_space
 from repro.vm.pagetable import PageTable
 from repro.vm.tlb import TLB
@@ -55,7 +61,6 @@ class _Core:
         self.walker = PageWalker(table)
         self.hierarchy = CacheHierarchy(system.cache, shared_l3=shared_l3)
         self.now_ns = 0.0
-        self.accesses = 0
 
 
 class MultiCoreSimulator:
@@ -74,9 +79,7 @@ class MultiCoreSimulator:
     ) -> None:
         if num_cores < 1:
             raise ValueError("need at least one core")
-        if controller not in CONTROLLER_REGISTRY:
-            raise ValueError(f"unknown controller {controller!r}; "
-                             f"choose from {CONTROLLER_REGISTRY.names()}")
+        CONTROLLER_REGISTRY.get(controller)  # fail fast on an unknown name
         self.context = context or SimContext(system, seed)
         self.workload = workload
         self.num_cores = num_cores
@@ -109,123 +112,24 @@ class MultiCoreSimulator:
         self.dram = self.context.register("dram", DRAMSystem(self.system.dram))
         self.model = model or PageCompressionModel.for_system(
             workload.content, self.system, seed)
-        self.controller = self.context.register(
-            "controller",
-            create_controller(controller, self.system, self.dram, seed=seed),
-        )
-        self.controller.attach_instrumentation(
-            self.context.probe("controller", stats=self.controller.stats))
-        self.context.metrics.attach("controller.paths",
-                                    self.controller.path_fractions)
-        # Per-stage access-pipeline latencies, same namespaces as the
-        # single-core simulator.
-        self.context.metrics.attach("controller.stage",
-                                    self.controller.stage_stats)
-        self.context.metrics.attach("controller.breakdown",
-                                    self.controller.stage_accounting)
-        if hasattr(self.controller, "cte_cache"):
-            self.context.register("controller.cte_cache",
-                                  self.controller.cte_cache)
-
-        space = self.space
-        if isinstance(self.controller, TwoLevelController):
-            self.controller.initialize(space.data_ppns, space.hotness,
-                                       space.table_ppns, self.model,
-                                       dram_budget_bytes)
-        else:
-            self.controller.initialize(space.data_ppns, space.hotness,
-                                       space.table_ppns, self.model)
+        self.controller = build_controller(
+            self.context, controller, self.dram, self.space, self.model,
+            dram_budget_bytes, seed)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
     def run(self, warmup_fraction: float = 0.2) -> SimResult:
-        """Replay the partitioned trace; cores interleave by local time."""
-        # Core i replays accesses i, i + n, i + 2n, ...: strided views of
-        # the trace's two columns, so no per-core copy is made.
-        trace = self.workload.trace
-        addresses = memoryview(trace.addresses)
-        writes = memoryview(trace.writes)
-        streams = [(addresses[i::self.num_cores], writes[i::self.num_cores])
-                   for i in range(self.num_cores)]
-        compute_ns = self.system.cycles_to_ns(
-            self.workload.compute_cycles_per_access)
-
-        warmup = int(len(self.workload.trace) * warmup_fraction)
-        positions = [0] * self.num_cores
-        executed = 0
-        measured = 0
-        measure_start = None
-        while True:
-            # The least-advanced core with work remaining executes next;
-            # that's how concurrent streams interleave at the shared MC.
-            candidates = [c for c in self.cores
-                          if positions[c.index] < len(streams[c.index][0])]
-            if not candidates:
-                break
-            core = min(candidates, key=lambda c: c.now_ns)
-            core_addresses, core_writes = streams[core.index]
-            position = positions[core.index]
-            vaddr = core_addresses[position]
-            is_write = bool(core_writes[position])
-            positions[core.index] += 1
-            executed += 1
-            if executed == warmup:
-                measure_start = max(c.now_ns for c in self.cores)
-            core.now_ns += compute_ns
-            stall = self._core_access(core, vaddr, is_write)
-            core.now_ns += stall * self.system.mlp_stall_factor
-            if executed > warmup:
-                measured += 1
-
-        end = max(c.now_ns for c in self.cores)
+        """Replay the partitioned trace; cores interleave by local time
+        (:func:`~repro.sim.fastpath.run_cores`)."""
+        count = len(self.workload.trace)
+        warmup = int(count * warmup_fraction)
+        measure_start = run_cores(self, warmup)
+        end = max(core.now_ns for core in self.cores)
         self.context.clock.now_ns = end
-        elapsed = end - (measure_start or 0.0)
-        return self._result(measured, max(1.0, elapsed))
-
-    def _core_access(self, core: _Core, vaddr: int, is_write: bool) -> float:
-        system = self.system
-        vpn = vaddr >> 12
-        stall = 0.0
-        if not core.tlb.lookup(vpn):
-            if self.context.bus.active:
-                self.context.bus.publish("sim.tlb_miss", core.now_ns,
-                                         vpn=vpn, core=core.index)
-            try:
-                walk = core.walker.walk(vpn)
-            except KeyError:
-                return 0.0
-            for level, ptb_address in walk.fetches:
-                result = core.hierarchy.access(ptb_address, is_ptb=True)
-                stall += system.cycles_to_ns(result.latency_cycles)
-                if result.l3_miss:
-                    miss = self.controller.serve_l3_miss(
-                        ptb_address >> 12, (ptb_address >> 6) & 63,
-                        core.now_ns + stall, False)
-                    stall += miss.latency_ns
-                for block in result.dram_writebacks:
-                    self.controller.serve_writeback(block >> 6, block & 63,
-                                                    core.now_ns + stall)
-                self.controller.note_ptb_fetch(
-                    level, ptb_address, self.table.ptb_at(ptb_address),
-                    huge_leaf=False)
-            core.tlb.fill(vpn)
-        ppn = self.space.translation.get(vpn)
-        if ppn is None:
-            return stall
-        paddr = ppn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1))
-        result = core.hierarchy.access(paddr, is_write=is_write)
-        stall += system.cycles_to_ns(result.latency_cycles)
-        if result.l3_miss:
-            miss = self.controller.serve_l3_miss(
-                ppn, (vaddr & (PAGE_SIZE - 1)) >> 6,
-                core.now_ns + stall, is_write)
-            stall += miss.latency_ns
-        for block in result.dram_writebacks:
-            self.controller.serve_writeback(block >> 6, block & 63,
-                                            core.now_ns + stall)
-        return stall
+        return self._result(max(0, count - warmup),
+                            max(1.0, end - measure_start))
 
     def metrics_snapshot(self) -> Dict[str, float]:
         """Every component's statistics under namespaced keys."""

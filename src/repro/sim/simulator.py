@@ -41,10 +41,39 @@ from repro.sim.context import SimContext
 from repro.sim.fastpath import run_fast
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.results import SimResult
-from repro.sim.space import address_space
+from repro.sim.space import AddressSpace, address_space
 from repro.vm.tlb import TLB
 from repro.vm.walker import PageWalker
 from repro.workloads.trace import Workload
+
+
+def build_controller(context: SimContext, name: str, dram: DRAMSystem,
+                     space: AddressSpace, model: PageCompressionModel,
+                     dram_budget_bytes: Optional[int], seed: int):
+    """Create controller ``name`` at ``controller`` in ``context``'s tree,
+    wire its instrumentation and its path, stage and CTE-cache metrics,
+    and place ``space``'s pages (a two-level controller within
+    ``dram_budget_bytes``)."""
+    controller = context.register(
+        "controller", create_controller(name, context.system, dram, seed=seed))
+    controller.attach_instrumentation(
+        context.probe("controller", stats=controller.stats))
+    context.metrics.attach("controller.paths", controller.path_fractions)
+    # Per-stage access-pipeline latencies (Figures 8/18): histograms
+    # under controller.stage.*, per-path aggregation under
+    # controller.breakdown.* (both reset at the warm-up boundary).
+    context.metrics.attach("controller.stage", controller.stage_stats)
+    context.metrics.attach("controller.breakdown",
+                           controller.stage_accounting)
+    if hasattr(controller, "cte_cache"):
+        context.register("controller.cte_cache", controller.cte_cache)
+    if isinstance(controller, TwoLevelController):
+        controller.initialize(space.data_ppns, space.hotness,
+                              space.table_ppns, model, dram_budget_bytes)
+    else:
+        controller.initialize(space.data_ppns, space.hotness,
+                              space.table_ppns, model)
+    return controller
 
 
 @dataclass
@@ -79,9 +108,7 @@ class Simulator:
         fault_plan: Optional[FaultPlan] = None,
         resilience: bool = False,
     ) -> None:
-        if controller not in CONTROLLER_REGISTRY:
-            raise ValueError(f"unknown controller {controller!r}; "
-                             f"choose from {CONTROLLER_REGISTRY.names()}")
+        CONTROLLER_REGISTRY.get(controller)  # fail fast on an unknown name
         if virtualized and huge_pages:
             raise ValueError("virtualized mode models 4 KB guest pages only")
         self.context = context or SimContext(system, seed)
@@ -129,24 +156,9 @@ class Simulator:
         # -- compression model and controller ---------------------------
         self.model = model or PageCompressionModel.for_system(
             workload.content, self.system, seed)
-        self.controller = self.context.register(
-            "controller",
-            create_controller(controller, self.system, self.dram, seed=seed),
-        )
-        self.controller.attach_instrumentation(
-            self.context.probe("controller", stats=self.controller.stats))
-        self.context.metrics.attach("controller.paths",
-                                    self.controller.path_fractions)
-        # Per-stage access-pipeline latencies (Figures 8/18): histograms
-        # under controller.stage.*, per-path aggregation under
-        # controller.breakdown.* (both reset at the warm-up boundary).
-        self.context.metrics.attach("controller.stage",
-                                    self.controller.stage_stats)
-        self.context.metrics.attach("controller.breakdown",
-                                    self.controller.stage_accounting)
-        if hasattr(self.controller, "cte_cache"):
-            self.context.register("controller.cte_cache",
-                                  self.controller.cte_cache)
+        self.controller = build_controller(
+            self.context, controller, self.dram, self.space, self.model,
+            dram_budget_bytes, seed)
         if hasattr(self.controller, "migration"):
             migration = self.context.register("controller.migration",
                                               self.controller.migration)
@@ -154,16 +166,8 @@ class Simulator:
                                         migration.stalls)
             self.context.metrics.attach("controller.migration.stall_ns",
                                         migration.stall_ns)
-
-        space = self.space
         if isinstance(self.controller, TwoLevelController):
-            self.controller.initialize(space.data_ppns, space.hotness,
-                                       space.table_ppns, self.model,
-                                       dram_budget_bytes)
             self.context.metrics.attach("controller.ml2", self._ml2_metrics)
-        else:
-            self.controller.initialize(space.data_ppns, space.hotness,
-                                       space.table_ppns, self.model)
 
         # -- resilience: fault injection + graceful degradation ---------
         #: With a fault plan (or ``resilience=True``) the controller's

@@ -37,6 +37,8 @@ import pytest
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.sa_cache import SetAssociativeCache
 
+from tests.oracles.observed import access
+
 GOLDEN_FILE = Path(__file__).parent / "goldens" / "hierarchy_stream.json"
 
 ACCESSES = 200_000
@@ -103,7 +105,7 @@ def _apply(hierarchy: CacheHierarchy, op, outcomes) -> None:
         hierarchy.mark_compressed(op[1] << 6, op[2])
         return
     _, block, is_write, is_ptb = op
-    result = hierarchy.access(block << 6, is_write=is_write, is_ptb=is_ptb)
+    result = access(hierarchy, block << 6, is_write=is_write, is_ptb=is_ptb)
     outcomes.append([result.hit_level, result.dram_writebacks,
                      result.served_compressed])
 

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.common.units import KIB
 
+from tests.oracles.observed import access
+
 
 def tiny(prefetch):
     return CacheHierarchy(HierarchyConfig(
@@ -60,7 +62,7 @@ access_strategy = st.lists(
 def test_inclusion_and_exclusion_invariants(accesses, prefetch):
     hierarchy = tiny(prefetch)
     for block, is_write, is_ptb in accesses:
-        hierarchy.access(block << 6, is_write=is_write, is_ptb=is_ptb)
+        access(hierarchy, block << 6, is_write=is_write, is_ptb=is_ptb)
         l1 = all_blocks(hierarchy.l1)
         l2 = all_blocks(hierarchy.l2)
         l3 = all_blocks(hierarchy.l3)
@@ -73,7 +75,7 @@ def test_inclusion_and_exclusion_invariants(accesses, prefetch):
 def test_storage_invariants(accesses, prefetch):
     hierarchy = tiny(prefetch)
     for block, is_write, is_ptb in accesses:
-        hierarchy.access(block << 6, is_write=is_write, is_ptb=is_ptb)
+        access(hierarchy, block << 6, is_write=is_write, is_ptb=is_ptb)
         for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
             check_storage(cache)
 
@@ -84,7 +86,7 @@ def test_dirty_data_is_never_lost(accesses, prefetch):
     hierarchy = tiny(prefetch)
     dirty = set()  # blocks written and not yet written back to DRAM
     for block, is_write, is_ptb in accesses:
-        result = hierarchy.access(block << 6, is_write=is_write,
+        result = access(hierarchy, block << 6, is_write=is_write,
                                   is_ptb=is_ptb)
         if is_write:
             dirty.add(block)
@@ -112,7 +114,7 @@ def test_latency_classes_are_consistent(accesses, prefetch):
         "memory": config.l1_latency + config.l2_latency + config.l3_latency,
     }
     for block, is_write, is_ptb in accesses:
-        result = hierarchy.access(block << 6, is_write=is_write,
+        result = access(hierarchy, block << 6, is_write=is_write,
                                   is_ptb=is_ptb)
         assert result.latency_cycles == expected[result.hit_level]
         assert result.l3_miss == (result.hit_level == "memory")

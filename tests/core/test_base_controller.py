@@ -11,6 +11,7 @@ from repro.core.base import (
 from repro.dram.system import DRAMSystem
 
 from tests.core.conftest import make_pages
+from tests.oracles.observed import serve_l3_miss
 import pytest
 
 
@@ -69,7 +70,7 @@ def test_writebacks_count_and_post(system, graph_model):
 
 def test_average_miss_latency_tracks_histogram(system, graph_model):
     controller, ppns = build(system, graph_model)
-    controller.serve_l3_miss(ppns[0], 0, 0.0)
-    controller.serve_l3_miss(ppns[1], 0, 1000.0)
+    serve_l3_miss(controller, ppns[0], 0, 0.0)
+    serve_l3_miss(controller, ppns[1], 0, 1000.0)
     assert controller.average_miss_latency_ns > 0
     assert controller.stats.histogram("miss_latency_ns").count == 2

@@ -17,6 +17,7 @@ from repro.core.uncompressed import UncompressedController
 from repro.vm.pte import STATUS_DEFAULT_DATA, make_pte
 
 from tests.core.conftest import make_pages
+from tests.oracles.observed import serve_l3_miss
 
 
 # ----------------------------------------------------------------------
@@ -27,7 +28,7 @@ def test_uncompressed_miss_latency_near_53ns(system, dram, graph_model):
     controller = UncompressedController(system, dram)
     ppns, hotness = make_pages(16)
     controller.initialize(ppns, hotness, [], graph_model)
-    result = controller.serve_l3_miss(ppns[0], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, ppns[0], 0, now_ns=0.0)
     # NoC (18) + closed-row DRAM (~30): Figure 18's ~53 ns regime.
     assert 40 <= result.latency_ns <= 70
     assert result.path == PATH_CTE_HIT
@@ -42,9 +43,9 @@ def test_compresso_serial_cte_penalty(system, dram, graph_model):
     controller = CompressoController(system, dram)
     ppns, hotness = make_pages(64)
     controller.initialize(ppns, hotness, [], graph_model)
-    cold = controller.serve_l3_miss(ppns[0], 0, now_ns=0.0)
+    cold = serve_l3_miss(controller, ppns[0], 0, now_ns=0.0)
     assert cold.path == PATH_SERIAL_NO_CTE
-    warm = controller.serve_l3_miss(ppns[0], 1, now_ns=1000.0)
+    warm = serve_l3_miss(controller, ppns[0], 1, now_ns=1000.0)
     assert warm.path == PATH_CTE_HIT
     assert cold.latency_ns > warm.latency_ns + 20  # serial CTE fetch cost
 
@@ -128,7 +129,7 @@ def test_twolevel_ml2_access_migrates_to_ml1(system, dram, graph_model):
     controller, ppns = init_twolevel(system, dram, graph_model)
     cold = ppns[-1]
     assert controller._cte[cold].in_ml2
-    result = controller.serve_l3_miss(cold, 0, now_ns=0.0)
+    result = serve_l3_miss(controller, cold, 0, now_ns=0.0)
     assert result.in_ml2
     assert result.latency_ns > 100  # decompression dominates
     assert not controller._cte[cold].in_ml2  # migrated to ML1
@@ -138,7 +139,7 @@ def test_twolevel_ml2_access_migrates_to_ml1(system, dram, graph_model):
 def test_twolevel_ml1_access_is_fast(system, dram, graph_model):
     controller, ppns = init_twolevel(system, dram, graph_model)
     hot = ppns[0]
-    result = controller.serve_l3_miss(hot, 0, now_ns=0.0)
+    result = serve_l3_miss(controller, hot, 0, now_ns=0.0)
     assert not result.in_ml2
     assert result.latency_ns < 120
 
@@ -151,7 +152,7 @@ def test_twolevel_migration_pressure_triggers_eviction(system, dram, graph_model
     cold_pages = [p for p in ppns if controller._cte[p].in_ml2][:40]
     now = 0.0
     for ppn in cold_pages:
-        controller.serve_l3_miss(ppn, 0, now_ns=now)
+        serve_l3_miss(controller, ppn, 0, now_ns=now)
         now += 10_000.0
     assert controller.stats.counter("ml1_to_ml2_evictions").value > 0
     assert controller.ml1_free.count >= min(
@@ -162,7 +163,7 @@ def test_twolevel_migration_pressure_triggers_eviction(system, dram, graph_model
 def test_twolevel_serial_translation_on_cte_miss(system, dram, graph_model):
     controller, ppns = init_twolevel(system, dram, graph_model)
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(ppns[0], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, ppns[0], 0, now_ns=0.0)
     assert result.path == PATH_SERIAL_NO_CTE
     assert controller.stats.counter("cte_dram_fetches").value == 1
 
@@ -180,8 +181,8 @@ def test_osinspired_ml2_latency_is_ibm_slow(system, graph_model):
                                  cls=TMCCController)
     cold_a = next(p for p in ppns_a if slow._cte[p].in_ml2)
     cold_b = next(p for p in ppns_b if fast._cte[p].in_ml2)
-    lat_slow = slow.serve_l3_miss(cold_a, 0, 0.0).latency_ns
-    lat_fast = fast.serve_l3_miss(cold_b, 0, 0.0).latency_ns
+    lat_slow = serve_l3_miss(slow, cold_a, 0, 0.0).latency_ns
+    lat_fast = serve_l3_miss(fast, cold_b, 0, 0.0).latency_ns
     assert lat_slow > lat_fast + 400  # ~878 ns vs ~140 ns half-page
 
 
@@ -199,7 +200,7 @@ def test_tmcc_parallel_path_after_ptb_fetch(system, dram, graph_model):
     hot = ppns[:8]
     controller.note_ptb_fetch(1, 0x1000, uniform_ptb_for(hot), huge_leaf=False)
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(hot[0], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, hot[0], 0, now_ns=0.0)
     assert result.path == PATH_PARALLEL_OK
     # Parallel: latency ~ one DRAM access, not two.
     assert result.latency_ns < 90
@@ -209,7 +210,7 @@ def test_tmcc_serial_without_walk(system, dram, graph_model):
     controller, ppns = init_twolevel(system, dram, graph_model,
                                      cls=TMCCController)
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(ppns[0], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, ppns[0], 0, now_ns=0.0)
     assert result.path == PATH_SERIAL_NO_CTE
 
 
@@ -221,12 +222,12 @@ def test_tmcc_mismatch_detected_and_repaired(system, dram, graph_model):
     # Migrate hot[0] behind the PTB's back: change its CTE.
     controller._cte[hot[0]].dram_page += 1
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(hot[0], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, hot[0], 0, now_ns=0.0)
     assert result.path == PATH_PARALLEL_MISMATCH
     assert controller.stats.counter("embedded_repairs").value == 1
     # After the lazy repair, the next CTE-cache miss verifies clean.
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(hot[0], 0, now_ns=1000.0)
+    result = serve_l3_miss(controller, hot[0], 0, now_ns=1000.0)
     assert result.path == PATH_PARALLEL_OK
 
 
@@ -236,7 +237,7 @@ def test_tmcc_huge_leaf_ptbs_are_not_harvested(system, dram, graph_model):
     controller.note_ptb_fetch(2, 0x2000, uniform_ptb_for(ppns[:8]),
                               huge_leaf=True)
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(ppns[0], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, ppns[0], 0, now_ns=0.0)
     assert result.path == PATH_SERIAL_NO_CTE
 
 
@@ -248,7 +249,7 @@ def test_tmcc_incompressible_ptb_gives_no_embedding(system, dram, graph_model):
     controller.note_ptb_fetch(1, 0x3000, ptes, huge_leaf=False)
     assert controller.stats.counter("ptbs_incompressible").value == 1
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(ppns[1], 0, now_ns=0.0)
+    result = serve_l3_miss(controller, ppns[1], 0, now_ns=0.0)
     assert result.path == PATH_SERIAL_NO_CTE
 
 
@@ -271,11 +272,11 @@ def test_tmcc_embedded_coverage_metric(system, dram, graph_model):
     controller.note_ptb_fetch(1, 0x1000, uniform_ptb_for(ppns[:8]),
                               huge_leaf=False)
     controller.cte_cache.flush()
-    controller.serve_l3_miss(ppns[0], 0, 0.0)   # parallel
+    serve_l3_miss(controller, ppns[0], 0, 0.0)   # parallel
     controller.cte_cache.flush()
     # A ML1 page the walker never covered: serial path.
     unwalked = next(p for p in ppns[8:] if not controller._cte[p].in_ml2)
-    controller.serve_l3_miss(unwalked, 0, 0.0)
+    serve_l3_miss(controller, unwalked, 0, 0.0)
     assert controller.embedded_coverage == pytest.approx(0.5)
 
 
@@ -306,11 +307,11 @@ def test_fastml2_is_serial_but_fast(system, graph_model):
     controller.note_ptb_fetch(1, 0x1000, uniform_ptb_for(ppns[:8]),
                               huge_leaf=False)
     controller.cte_cache.flush()
-    result = controller.serve_l3_miss(ppns[0], 0, 0.0)
+    result = serve_l3_miss(controller, ppns[0], 0, 0.0)
     assert result.path == PATH_SERIAL_NO_CTE
     # Fast ML2: a cold page decompresses in the memory-specialized range.
     cold = next(p for p in ppns if controller._cte[p].in_ml2)
-    ml2 = controller.serve_l3_miss(cold, 0, 1000.0)
+    ml2 = serve_l3_miss(controller, cold, 0, 1000.0)
     assert ml2.latency_ns < 600  # IBM-speed would exceed ~900 ns
 
 
@@ -327,7 +328,7 @@ def test_three_controllers_form_a_latency_ladder(system, graph_model):
         controller, ppns = init_twolevel(system, DRAMSystem(), graph_model,
                                          cls=cls)
         cold = next(p for p in ppns if controller._cte[p].in_ml2)
-        latencies[cls.__name__] = controller.serve_l3_miss(cold, 0, 0.0).latency_ns
+        latencies[cls.__name__] = serve_l3_miss(controller, cold, 0, 0.0).latency_ns
     assert latencies["OSInspiredController"] > \
         latencies["OSInspiredFastDeflateController"] + 300
 
@@ -350,7 +351,7 @@ def test_priority_flip_under_critical_pressure(system, graph_model):
         total = 0.0
         now = 0.0
         for ppn in cold:
-            total += controller.serve_l3_miss(ppn, 0, now).latency_ns
+            total += serve_l3_miss(controller, ppn, 0, now).latency_ns
             now += 50_000.0
         return total, controller
 

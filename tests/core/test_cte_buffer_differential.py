@@ -21,6 +21,7 @@ from repro.vm.pte import STATUS_DEFAULT_DATA, make_pte
 
 from tests.core.conftest import make_pages
 from tests.oracles.ctebuffer import ReferenceCTEBuffer
+from tests.oracles.observed import serve_l3_miss
 
 PAGES = 256
 #: PTB slots; index ``PTBS`` names an address that holds no PTB.
@@ -93,7 +94,7 @@ def test_cte_buffer_matches_reference(system, graph_model, table, ops):
             if migrate:
                 cte.dram_page += 1
             controller.cte_cache.flush()
-            controller.serve_l3_miss(ppn, 0, now)
+            serve_l3_miss(controller, ppn, 0, now)
             if migrate:
                 cte.dram_page -= 1
             now += 1000.0

@@ -4,6 +4,7 @@ from repro.core.compresso import CompressoController, CompressoLLCVictimControll
 from repro.dram.system import DRAMSystem
 
 from tests.core.conftest import make_pages
+from tests.oracles.observed import serve_l3_miss
 
 
 def make_controller(system, model, victim, pages=4096):
@@ -19,7 +20,7 @@ def thrash(controller, ppns, rounds=3):
     now = 0.0
     for _ in range(rounds):
         for ppn in ppns:
-            controller.serve_l3_miss(ppn, 0, now)
+            serve_l3_miss(controller, ppn, 0, now)
             now += 200.0
     return controller.average_miss_latency_ns
 

@@ -30,6 +30,7 @@ from repro.core.pipeline import (
 )
 from repro.dram.system import DRAMSystem
 from repro.mc.cte import CTE_SIZE_PAGE
+from tests.oracles.observed import serve_l3_miss
 from tests.oracles.pipeline import Stage, evaluate, parallel, serial
 
 ML2_CHAIN = (STAGE_ML2_READ, STAGE_DECOMPRESS, STAGE_MIGRATION_STALL,
@@ -80,18 +81,18 @@ def busy_cte_bank(controller, ppn, now_ns, reads=4):
 
 def test_uncompressed_is_one_data_fetch(graph_model):
     controller, ppns = build("uncompressed", graph_model)
-    miss = controller.serve_l3_miss(ppns[3], 7, 40.0)
+    miss = serve_l3_miss(controller, ppns[3], 7, 40.0)
     assert miss.path == PATH_CTE_HIT
     assert_matches_spec(miss, stage(miss, STAGE_DATA_FETCH), 40.0)
 
 
 def test_compresso_serializes_cte_then_data(graph_model):
     controller, ppns = build("compresso", graph_model)
-    cold = controller.serve_l3_miss(ppns[0], 1, 10.0)
+    cold = serve_l3_miss(controller, ppns[0], 1, 10.0)
     assert cold.path == PATH_SERIAL_NO_CTE
     assert_matches_spec(cold, serial(stage(cold, STAGE_CTE_FETCH),
                                      stage(cold, STAGE_DATA_FETCH)), 10.0)
-    warm = controller.serve_l3_miss(ppns[0], 2, 200.0)
+    warm = serve_l3_miss(controller, ppns[0], 2, 200.0)
     assert warm.path == PATH_CTE_HIT
     assert_matches_spec(warm, stage(warm, STAGE_DATA_FETCH), 200.0)
 
@@ -100,14 +101,14 @@ def test_compresso_serializes_cte_then_data(graph_model):
 def test_serial_translation_paths(name, graph_model):
     controller, ppns = build(name, graph_model)
     ml1 = page_in(controller, ppns, in_ml2=False)
-    miss = controller.serve_l3_miss(ml1, 3, 100.0)
+    miss = serve_l3_miss(controller, ml1, 3, 100.0)
     assert miss.path == PATH_SERIAL_NO_CTE
     assert_matches_spec(miss, serial(stage(miss, STAGE_CTE_FETCH),
                                      stage(miss, STAGE_DATA_FETCH)), 100.0)
 
     ml2 = page_in(controller, ppns, in_ml2=True)
     controller.cte_cache.flush()
-    miss = controller.serve_l3_miss(ml2, 0, 300.0)
+    miss = serve_l3_miss(controller, ml2, 0, 300.0)
     assert miss.path == PATH_ML2
     assert_matches_spec(miss, serial(stage(miss, STAGE_CTE_FETCH),
                                      ml2_chain(miss)), 300.0)
@@ -117,7 +118,7 @@ def test_cte_cache_hit_on_ml2_page_decompresses(graph_model):
     controller, ppns = build("tmcc", graph_model)
     ml2 = page_in(controller, ppns, in_ml2=True)
     controller.cte_cache.fill(ml2)
-    miss = controller.serve_l3_miss(ml2, 0, 50.0)
+    miss = serve_l3_miss(controller, ml2, 0, 50.0)
     assert miss.path == PATH_ML2 and miss.in_ml2
     assert_matches_spec(miss, ml2_chain(miss), 50.0)
 
@@ -129,7 +130,7 @@ def test_tmcc_speculation_races_the_verify(cte_wins, graph_model):
     controller._cte_buffer[ppn] = (controller._snapshot(ppn), 0xBEEF)
     if cte_wins:
         busy_cte_bank(controller, ppn, 300.0)
-    miss = controller.serve_l3_miss(ppn, 5, 300.0)
+    miss = serve_l3_miss(controller, ppn, 5, 300.0)
     assert miss.path == PATH_PARALLEL_OK
     assert miss.timeline.span(STAGE_CTE_FETCH).critical == cte_wins
     assert_matches_spec(miss, parallel(stage(miss, STAGE_CTE_FETCH),
@@ -140,7 +141,7 @@ def test_tmcc_speculation_on_ml2_page(graph_model):
     controller, ppns = build("tmcc", graph_model)
     ppn = page_in(controller, ppns, in_ml2=True)
     controller._cte_buffer[ppn] = (controller._snapshot(ppn), 0xBEEF)
-    miss = controller.serve_l3_miss(ppn, 0, 700.0)
+    miss = serve_l3_miss(controller, ppn, 0, 700.0)
     assert miss.path == PATH_ML2
     assert_matches_spec(miss, parallel(stage(miss, STAGE_CTE_FETCH),
                                        ml2_chain(miss)), 700.0)
@@ -155,7 +156,7 @@ def test_tmcc_stale_embedded_cte_replays(cte_wins, in_ml2, graph_model):
     controller._cte_buffer[ppn] = ((snapshot[0] + 1,) + snapshot[1:], 0xBEEF)
     if cte_wins:
         busy_cte_bank(controller, ppn, 100.0)
-    miss = controller.serve_l3_miss(ppn, 3, 100.0)
+    miss = serve_l3_miss(controller, ppn, 3, 100.0)
     assert miss.path == (PATH_ML2 if in_ml2 else PATH_PARALLEL_MISMATCH)
     assert miss.timeline.span(STAGE_CTE_FETCH).critical == cte_wins
     data = ml2_chain(miss) if in_ml2 else stage(miss, STAGE_DATA_FETCH)
@@ -170,7 +171,7 @@ def test_resilience_adds_the_emergency_eviction_stage(graph_model):
     controller, ppns = build("tmcc", graph_model, resilience=True)
     ml2 = page_in(controller, ppns, in_ml2=True)
     controller.cte_cache.fill(ml2)
-    miss = controller.serve_l3_miss(ml2, 0, 50.0)
+    miss = serve_l3_miss(controller, ml2, 0, 50.0)
     assert miss.timeline.stage_names()[-1] == STAGE_EMERGENCY_EVICT
     assert_matches_spec(
         miss, ml2_chain(miss, ML2_CHAIN + (STAGE_EMERGENCY_EVICT,)), 50.0)

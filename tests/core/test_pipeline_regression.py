@@ -13,6 +13,8 @@ from repro.dram.system import DRAMSystem
 from repro.sim.simulator import Simulator
 from repro.workloads.suite import workload_by_name
 
+from tests.oracles.observed import serve_l3_miss
+
 #: controller -> (avg miss latency repr, LLC misses, elapsed repr, DRAM reads)
 #: captured pre-refactor: mcf, max_accesses=6000, scale=0.12, seed=3,
 #: budget = 70% of footprint for the two-level designs.
@@ -63,14 +65,14 @@ def test_tmcc_per_path_latency_and_stages():
     # Stale embedded CTE for ppn 100 -> parallel verify detects a mismatch.
     snapshot = controller._snapshot(100)
     controller._cte_buffer[100] = ((snapshot[0] + 1,) + snapshot[1:], 0xBEEF)
-    mismatch = controller.serve_l3_miss(100, 3, 100.0)
+    mismatch = serve_l3_miss(controller, 100, 3, 100.0)
     # Fresh embedded CTE for ppn 120 -> speculation wins.
     controller._cte_buffer[120] = (controller._snapshot(120), 0xBEEF)
-    ok = controller.serve_l3_miss(120, 5, 300.0)
+    ok = serve_l3_miss(controller, 120, 5, 300.0)
     # No embedded CTE, CTE-cache miss -> serial, like prior work.
-    serial_miss = controller.serve_l3_miss(108, 1, 500.0)
+    serial_miss = serve_l3_miss(controller, 108, 1, 500.0)
     # Page resident in ML2 -> decompress + migrate.
-    ml2 = controller.serve_l3_miss(136, 0, 700.0)
+    ml2 = serve_l3_miss(controller, 136, 0, 700.0)
 
     assert (mismatch.latency_ns, mismatch.path) == (84.75, "parallel_mismatch")
     assert (ok.latency_ns, ok.path) == (50.5, "parallel_ok")

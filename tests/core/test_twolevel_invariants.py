@@ -20,6 +20,8 @@ from repro.dram.system import DRAMSystem
 from repro.vm.pte import STATUS_DEFAULT_DATA, make_pte
 from repro.workloads.content import ContentSynthesizer
 
+from tests.oracles.observed import serve_l3_miss
+
 PAGES = 160
 BUDGET_PAGES = 120
 
@@ -68,7 +70,7 @@ def test_invariants_hold_under_random_misses(operations):
     controller, ppns = build()
     now = 0.0
     for index, write in operations:
-        controller.serve_l3_miss(ppns[index], index % 64, now, is_write=write)
+        serve_l3_miss(controller, ppns[index], index % 64, now, is_write=write)
         now += 500.0
     check_invariants(controller, ppns)
 
@@ -87,7 +89,7 @@ def test_tmcc_invariants_with_walk_interleaving(indices):
                 ptes = [make_pte(p, STATUS_DEFAULT_DATA) for p in group]
                 controller.note_ptb_fetch(1, 0x10_000 + (index // 8) * 64,
                                           ptes, huge_leaf=False)
-        controller.serve_l3_miss(ppns[index], index % 64, now)
+        serve_l3_miss(controller, ppns[index], index % 64, now)
         now += 800.0
     check_invariants(controller, ppns)
 
@@ -104,11 +106,11 @@ def test_served_location_is_always_current(indices):
     for index in indices:
         ppn = ppns[index]
         was_ml2 = controller._cte[ppn].in_ml2
-        result = controller.serve_l3_miss(ppn, 0, now)
+        result = serve_l3_miss(controller, ppn, 0, now)
         assert result.in_ml2 == was_ml2
         if was_ml2 and not controller.stats.counter(
                 "migration_failed").value:
-            follow_up = controller.serve_l3_miss(ppn, 1, now + 1.0)
+            follow_up = serve_l3_miss(controller, ppn, 1, now + 1.0)
             assert not follow_up.in_ml2
         now += 1500.0
 
@@ -120,6 +122,6 @@ def test_writebacks_never_corrupt_state():
         ppn = ppns[i % PAGES]
         controller.serve_writeback(ppn, i % 64, now)
         if i % 13 == 0:
-            controller.serve_l3_miss(ppn, 0, now)
+            serve_l3_miss(controller, ppn, 0, now)
         now += 100.0
     check_invariants(controller, ppns)

@@ -19,6 +19,8 @@ from repro.dram.system import DRAMSystem
 from repro.vm.pte import STATUS_DEFAULT_DATA, make_pte
 from repro.workloads.content import ContentSynthesizer
 
+from tests.oracles.observed import serve_l3_miss
+
 
 @pytest.fixture(scope="module")
 def model():
@@ -52,13 +54,13 @@ def test_every_corrupted_embedded_cte_is_caught(model):
     now = 0.0
     for ppn in group:
         controller.cte_cache.flush()
-        result = controller.serve_l3_miss(ppn, 0, now)
+        result = serve_l3_miss(controller, ppn, 0, now)
         assert result.path == PATH_PARALLEL_MISMATCH
         now += 100.0
     assert controller.stats.counter("embedded_repairs").value == 8
     for ppn in group:
         controller.cte_cache.flush()
-        result = controller.serve_l3_miss(ppn, 0, now)
+        result = serve_l3_miss(controller, ppn, 0, now)
         assert result.path == PATH_PARALLEL_OK
         now += 100.0
 
@@ -67,10 +69,10 @@ def test_mismatch_costs_latency_but_never_correctness(model):
     controller, ppns = build(model)
     harvest(controller, ppns[:8])
     controller.cte_cache.flush()
-    clean = controller.serve_l3_miss(ppns[1], 0, 0.0)
+    clean = serve_l3_miss(controller, ppns[1], 0, 0.0)
     controller._cte[ppns[0]].dram_page += 3
     controller.cte_cache.flush()
-    dirty = controller.serve_l3_miss(ppns[0], 0, 1000.0)
+    dirty = serve_l3_miss(controller, ppns[0], 0, 1000.0)
     assert dirty.latency_ns > clean.latency_ns  # re-access penalty
 
 
@@ -82,7 +84,7 @@ def test_migration_buffer_saturation_stalls_but_recovers(model):
     cold = [p for p in ppns if controller._cte[p].in_ml2][:32]
     assert len(cold) >= 16
     # Fire all accesses at (nearly) the same instant.
-    latencies = [controller.serve_l3_miss(p, 0, now_ns=float(i))
+    latencies = [serve_l3_miss(controller, p, 0, now_ns=float(i))
                  .latency_ns for i, p in enumerate(cold)]
     assert controller.migration.stalls.value > 0
     assert max(latencies) > min(latencies)
@@ -90,7 +92,7 @@ def test_migration_buffer_saturation_stalls_but_recovers(model):
     migrated = controller.stats.counter("ml2_to_ml1_migrations").value
     assert migrated > 0
     settled = next(p for p in cold if not controller._cte[p].in_ml2)
-    check = controller.serve_l3_miss(settled, 1, now_ns=1e9)
+    check = serve_l3_miss(controller, settled, 1, now_ns=1e9)
     assert not check.in_ml2
 
 
@@ -104,7 +106,7 @@ def test_eviction_starvation_does_not_wedge(model):
     cold = [p for p in ppns if controller._cte[p].in_ml2]
     now = 0.0
     for ppn in cold[:40]:
-        controller.serve_l3_miss(ppn, 0, now)
+        serve_l3_miss(controller, ppn, 0, now)
         now += 50_000.0
     stats = controller.stats
     # Either the free-list reserve carried it, or starvation was recorded;
@@ -118,7 +120,7 @@ def test_unknown_page_misses_are_served_not_crashed(model):
     """I/O-space or late-mapped pages the controller never saw still get
     a DRAM access rather than a KeyError."""
     controller, _ = build(model)
-    result = controller.serve_l3_miss(0xDEAD00, 0, 0.0)
+    result = serve_l3_miss(controller, 0xDEAD00, 0, 0.0)
     assert result.latency_ns > 0
 
 
@@ -139,7 +141,7 @@ def test_incompressible_page_eviction_is_skipped_not_fatal():
                           dram_budget_bytes=70 * 4096)
     controller._maybe_evict(0.0, force_one=True)
     assert controller.stats.counter("incompressible_retained").value >= 0
-    result = controller.serve_l3_miss(ppns[0], 0, 0.0)
+    result = serve_l3_miss(controller, ppns[0], 0, 0.0)
     assert result.latency_ns > 0
 
 
@@ -207,11 +209,11 @@ def test_injected_stale_cte_takes_mismatch_path_then_repairs(model):
     harvest(controller, ppns[:8])
     ppn = controller.inject_stale_cte(PickFirst())
     assert ppn is not None
-    mismatch = controller.serve_l3_miss(ppn, 0, 0.0)
+    mismatch = serve_l3_miss(controller, ppn, 0, 0.0)
     assert mismatch.path == PATH_PARALLEL_MISMATCH
     assert controller.resilience.stats.counter("cte_repairs").value == 1
     controller.cte_cache.flush()
-    repaired = controller.serve_l3_miss(ppn, 0, 100.0)
+    repaired = serve_l3_miss(controller, ppn, 0, 100.0)
     assert repaired.path == PATH_PARALLEL_OK
 
 

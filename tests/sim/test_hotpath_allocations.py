@@ -1,24 +1,22 @@
 """Allocation discipline of the per-access hot path.
 
-Two properties keep the replay loop cheap:
+Two properties keep the replay loops cheap:
 
 1. the per-access record types carry ``__slots__`` (no ``__dict__``),
-   so the instances the multi-core engine creates per access stay
-   small -- pinned here with a tracemalloc footprint measurement;
-2. the single-core replay loop elides that object graph entirely,
-   observed or not -- pinned by counting constructions of the record
-   objects during a run.
+   so their instances stay small -- pinned here with a tracemalloc
+   footprint measurement;
+2. both replay loops elide the per-miss object graph: only a traced
+   run builds a miss's timeline -- pinned by counting calls of the
+   entry points that build records during a run.
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.cache.hierarchy import AccessResult, CacheHierarchy
 from repro.cache.sa_cache import CacheLine
-from repro.core.base import MissResult
-from repro.core.twolevel import TwoLevelController
-from repro.dram.system import ReadResult
+from repro.core.pipeline import ServiceTimeline
+from repro.dram.system import DRAMSystem, ReadResult
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import SpanTracer
@@ -26,8 +24,6 @@ from repro.workloads.suite import workload_by_name
 
 HOT_INSTANCES = [
     CacheLine(block=1),
-    AccessResult(hit_level="l1", latency_cycles=3, l3_miss=False),
-    MissResult(latency_ns=1.0, path="cte_hit"),
     ReadResult(latency_ns=1.0, queue_ns=0.0, bank_ns=1.0, row_hit=True,
                mc=0, channel=0),
 ]
@@ -53,34 +49,34 @@ def test_cacheline_allocation_footprint():
 
 
 def test_fast_loop_constructs_no_per_access_records(monkeypatch):
-    """The replay loop must never reach the allocating entry points
-    (``CacheHierarchy.access`` -> AccessResult, ``serve_l3_miss`` ->
-    MissResult/ServiceTimeline), with or without a tracer; the
-    multi-core engine, which still calls them, is the positive
-    control."""
-    calls = {"access": 0, "miss": 0}
-    slow_access = CacheHierarchy.access
-    slow_miss = TwoLevelController.serve_l3_miss
+    """Neither an untraced single-core run nor a 4-core run reaches the
+    allocating entry points (``ServiceTimeline.from_spans``,
+    ``DRAMSystem.read`` -> ReadResult); a traced single-core run, which
+    promotes sampled misses to timelines, is the positive control."""
+    calls = {"timeline": 0, "read": 0}
+    from_spans = ServiceTimeline.from_spans
+    read = DRAMSystem.read
 
-    def counting_access(self, *args, **kwargs):
-        calls["access"] += 1
-        return slow_access(self, *args, **kwargs)
+    def counting_from_spans(cls, *args, **kwargs):
+        calls["timeline"] += 1
+        return from_spans(*args, **kwargs)
 
-    def counting_miss(self, *args, **kwargs):
-        calls["miss"] += 1
-        return slow_miss(self, *args, **kwargs)
+    def counting_read(self, *args, **kwargs):
+        calls["read"] += 1
+        return read(self, *args, **kwargs)
 
-    monkeypatch.setattr(CacheHierarchy, "access", counting_access)
-    monkeypatch.setattr(TwoLevelController, "serve_l3_miss", counting_miss)
+    monkeypatch.setattr(ServiceTimeline, "from_spans",
+                        classmethod(counting_from_spans))
+    monkeypatch.setattr(DRAMSystem, "read", counting_read)
 
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
     Simulator(workload, controller="tmcc", seed=3).run()
+    MultiCoreSimulator(workload, num_cores=4, controller="tmcc",
+                       seed=3).run()
+    assert calls == {"timeline": 0, "read": 0}
+
     traced = Simulator(workload, controller="tmcc", seed=3)
     traced.attach_tracer(SpanTracer(sample_every=1))
     traced.run()
-    assert calls == {"access": 0, "miss": 0}
-
-    MultiCoreSimulator(workload, num_cores=2, controller="tmcc",
-                       seed=3).run()
-    assert calls["access"] > 0
-    assert calls["miss"] > 0
+    assert calls["timeline"] > 0
+    assert calls["read"] == 0

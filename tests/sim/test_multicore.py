@@ -1,7 +1,10 @@
 """Tests for the multi-core simulator."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import available_controllers
 from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.workloads.suite import workload_by_name
@@ -64,10 +67,49 @@ def test_multicore_determinism(workload):
     assert a.l3_misses == b.l3_misses
 
 
-def test_multicore_vs_singlecore_same_memory_system(workload):
-    """The single-core Simulator and a 1-core MultiCoreSimulator agree on
-    the broad translation statistics."""
-    single = Simulator(workload, controller="compresso").run()
-    multi = MultiCoreSimulator(workload, num_cores=1,
-                               controller="compresso").run()
-    assert multi.cte_hit_rate == pytest.approx(single.cte_hit_rate, abs=0.15)
+def _cross_engine_fields(result):
+    """What a 1-core multi-core run must reproduce of a single-core run."""
+    return {
+        "elapsed_ns": result.elapsed_ns,
+        "l3_misses": result.l3_misses,
+        "tlb_misses": result.tlb_misses,
+        "dram_reads": result.dram_reads,
+        "dram_writes": result.dram_writes,
+        "avg_l3_miss_latency_ns": result.avg_l3_miss_latency_ns,
+        "cte_hit_rate": result.cte_hit_rate,
+        "path_fractions": result.path_fractions,
+        "dram_used_bytes": result.dram_used_bytes,
+    }
+
+
+def _touching_an_unmapped_page(workload):
+    """``workload`` with three accesses moved to one page outside its
+    mapped footprint."""
+    trace = workload.trace
+    addresses = trace.addresses[:]
+    unmapped = (workload.base_vpn + workload.footprint_pages + 7) << 12
+    for index in (100, 400, 800):
+        addresses[index] = unmapped + 64 * index % 4096
+    return dataclasses.replace(
+        workload, trace=type(trace)(addresses, trace.writes[:]))
+
+
+def test_multicore_vs_singlecore_same_memory_system():
+    """A 1-core MultiCoreSimulator is the single-core Simulator (without
+    placement drift), exactly, on every shared result field; also on a
+    page outside the mapped footprint, whose first access fills the TLB
+    on both engines."""
+    workloads = [workload_by_name(name, max_accesses=6_000, scale=0.08)
+                 for name in ("canneal", "mcf")]
+    workloads.append(_touching_an_unmapped_page(
+        workload_by_name("omnetpp", max_accesses=4_000, scale=0.05)))
+    for workload in workloads:
+        for controller in available_controllers():
+            single = Simulator(workload, controller=controller,
+                               placement_drift=0.0).run(warmup_fraction=0.0)
+            multi = MultiCoreSimulator(
+                workload, num_cores=1,
+                controller=controller).run(warmup_fraction=0.0)
+            assert (_cross_engine_fields(multi)
+                    == _cross_engine_fields(single)), (
+                f"{workload.name}/{controller}")

@@ -6,7 +6,9 @@ sampled pages.  This file pins those measurements and the codec output
 behind them as sha256 digests in ``goldens/codec_outputs.json``:
 
 - ``page_records``: every ``PageRecord`` of each Figure-18 workload (plus
-  degCentr) at the bench configuration, seed 1;
+  degCentr) at the bench configuration, seed 1, and of the content
+  profiles no such workload uses (``profile/<name>``, sampled from
+  ``ContentSynthesizer(name, 1)``);
 - ``deflate``: ``(mode, payload, lz_stats)`` of :class:`DeflateCodec` on a
   fixed corpus of pages and odd-length inputs;
 - ``selector``: ``(algorithm, size_bits, payload)`` of the best-of block
@@ -38,11 +40,15 @@ from repro.compression.block import SelectiveBlockCompressor
 from repro.compression.deflate import DeflateCodec
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
+from repro.workloads.content import ContentSynthesizer
 from repro.workloads.suite import workload_by_name
 
 GOLDEN_FILE = Path(__file__).parent / "goldens" / "codec_outputs.json"
 
 RECORD_WORKLOADS = BENCH_WORKLOADS + ("degCentr",)
+#: Content profiles the record workloads leave out (graph, mcf, omnetpp
+#: and canneal are theirs); their records are keyed ``profile/<name>``.
+RECORD_PROFILES = ("small", "rocksdb", "stream")
 SEED = 1
 #: Corpus pages taken from each workload's content, past the sampled ones.
 CONTENT_PAGES = 2
@@ -62,10 +68,10 @@ def _digest(items) -> str:
     return hasher.hexdigest()
 
 
-def _records_digest(name: str) -> str:
+def _records_digest(content) -> str:
     system = SystemConfig()
     model = PageCompressionModel(
-        _workload(name).content,
+        content,
         sample_pages=system.compression_samples,
         deflate_config=system.deflate,
         timing=system.deflate_timing,
@@ -171,14 +177,22 @@ def _blocks(page: bytes):
     return [page[i:i + BLOCK_SIZE] for i in range(0, len(page), BLOCK_SIZE)]
 
 
+def record_contents():
+    """page_records key -> the content function its model samples."""
+    contents = {name: _workload(name).content for name in RECORD_WORKLOADS}
+    for profile in RECORD_PROFILES:
+        contents[f"profile/{profile}"] = ContentSynthesizer(profile, SEED).page
+    return contents
+
+
 def build_goldens():
     """The golden document, computed by the current code."""
     codec = DeflateCodec(SystemConfig().deflate)
     selector = SelectiveBlockCompressor()
     pages = corpus_pages()
     return {
-        "page_records": {name: _records_digest(name)
-                         for name in RECORD_WORKLOADS},
+        "page_records": {name: _records_digest(content)
+                         for name, content in record_contents().items()},
         "deflate": {name: _digest([_deflate_item(codec, data)])
                     for name, data in sorted(deflate_inputs().items())},
         "selector": {name: _digest(_block_item(selector.compress(block))

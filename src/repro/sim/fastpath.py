@@ -712,8 +712,9 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
 
 def run_cores(sim, warmup: int) -> float:
     """Replay ``sim``'s trace on its cores (a
-    :class:`~repro.sim.multicore.MultiCoreSimulator`); returns the time
-    at which access ``warmup`` started, or 0.0.
+    :class:`~repro.sim.multicore.MultiCoreSimulator`); statistics reset
+    after the first ``warmup`` accesses, and the time then (the most
+    advanced core's clock) is returned, or 0.0 if that point never comes.
 
     Core ``i`` replays accesses ``i, i + n, i + 2n, ...`` through its own
     :func:`front_end_step`, and the least-advanced core with work left
@@ -755,6 +756,7 @@ def run_cores(sim, warmup: int) -> float:
     table_ptb_at = sim.table.ptb_at
     bus = sim.context.bus
     publish = bus.publish if bus.active else None
+    reset_metrics = sim.context.reset_metrics
 
     clocks = [core.now_ns for core in cores]
     positions = [0] * num_cores
@@ -765,11 +767,12 @@ def run_cores(sim, warmup: int) -> float:
     while ready:
         now, i = ready[0]
         step, core_vpns, core_blocks, core_writes = streams[i]
+        if executed == warmup:
+            reset_metrics()
+            measure_start = max(clocks)
+        executed += 1
         position = positions[i]
         positions[i] = position + 1
-        executed += 1
-        if executed == warmup:
-            measure_start = max(clocks)
         now += compute_ns
         code = step(position, core_vpns[position], core_blocks[position],
                     core_writes[position])

@@ -17,10 +17,10 @@ interference.  The reported performance is aggregate throughput.
 Every access takes the single-core engine's path: the front end's
 per-access step (:func:`repro.sim.fastpath.front_end_step`) on the
 core's TLB, walker and caches, then its ops served at once on the core's
-clock (:func:`repro.sim.fastpath.run_cores`).  One core at warm-up 0 is
-therefore the single-core :class:`~repro.sim.simulator.Simulator`
-without placement drift (statistics here are never reset at the
-warm-up point).
+clock (:func:`repro.sim.fastpath.run_cores`).  Statistics reset after
+exactly the warm-up accesses, as on one core, so a 1-core run is the
+single-core :class:`~repro.sim.simulator.Simulator` without placement
+drift at any warm-up fraction.
 
 Like the single-core engine, construction runs through a
 :class:`~repro.sim.context.SimContext`; per-core components live in the

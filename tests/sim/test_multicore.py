@@ -113,3 +113,21 @@ def test_multicore_vs_singlecore_same_memory_system():
             assert (_cross_engine_fields(multi)
                     == _cross_engine_fields(single)), (
                 f"{workload.name}/{controller}")
+
+
+def test_multicore_warmup_resets_like_singlecore():
+    """Statistics reset after exactly the warm-up accesses, as on one
+    core: a 1-core MultiCoreSimulator at warm-up 0.2 is the single-core
+    Simulator (without placement drift) on every shared result field."""
+    for name in ("canneal", "mcf"):
+        workload = workload_by_name(name, max_accesses=6_000, scale=0.08)
+        for controller in available_controllers():
+            single = Simulator(workload, controller=controller,
+                               placement_drift=0.0).run(warmup_fraction=0.2)
+            multi = MultiCoreSimulator(
+                workload, num_cores=1,
+                controller=controller).run(warmup_fraction=0.2)
+            assert multi.accesses == single.accesses
+            assert (_cross_engine_fields(multi)
+                    == _cross_engine_fields(single)), (
+                f"{workload.name}/{controller}")

@@ -11,8 +11,10 @@ Two artifacts live in ``benchmarks/perf/``:
 - ``BENCH_<date>.json`` -- one measurement document per recorded run;
   the dated series is the performance trajectory of the simulator
   itself (see ``docs/performance.md``).  Each document also records
-  the process's peak resident set (``peak_rss_mb``); documents from
-  before that field still load and compare.
+  the process's peak resident set (``peak_rss_mb``) and each
+  workload's set-up seconds (``setup``: ``build_s`` for the workload,
+  ``model_s`` for its compression model); documents from before those
+  fields still load and compare.
 - ``baseline.json`` -- the committed reference the CI ``bench`` job
   compares against; :func:`compare_to_baseline` flags any
   configuration (or the suite aggregate) that regressed by more than
@@ -125,10 +127,16 @@ def run_suite(
                           f"choose from {list(BENCH_WORKLOADS)}")
     system = system or SystemConfig()
     records: List[Dict[str, object]] = []
+    setup: List[Dict[str, object]] = []
     suite_start = time.perf_counter()
     for name in workloads:
+        start = time.perf_counter()
         workload = workload_by_name(name, max_accesses=accesses)
+        built = time.perf_counter()
         model = PageCompressionModel.for_system(workload.content, system, seed)
+        setup.append({"workload": name,
+                      "build_s": round(built - start, 4),
+                      "model_s": round(time.perf_counter() - built, 4)})
         budget = None
         for controller in BENCH_CONTROLLERS:
             start = time.perf_counter()
@@ -161,6 +169,7 @@ def run_suite(
         "suite_elapsed_s": round(suite_elapsed, 2),
         "suite_accesses_per_s": round(total / suite_elapsed, 1),
         "peak_rss_mb": peak_rss_mb(),
+        "setup": setup,
         "configs": records,
     }
 
@@ -282,6 +291,20 @@ def controller_rates(document: Dict[str, object]) -> Dict[str, float]:
             for controller in accesses if elapsed[controller] > 0}
 
 
+def _model_seconds(document: Dict[str, object]) -> Optional[float]:
+    """Seconds the document's run spent building compression models,
+    summed over its workloads; None for documents without ``setup``."""
+    setup = document.get("setup")
+    if not isinstance(setup, list) or not setup:
+        return None
+    seconds = [record.get("model_s") for record in setup
+               if isinstance(record, dict)]
+    if not seconds or not all(isinstance(value, (int, float))
+                              for value in seconds):
+        return None
+    return float(sum(seconds))
+
+
 def history_documents(directory: str) -> List[Tuple[str, Dict[str, object]]]:
     """The dated ``BENCH_*.json`` series under ``directory``, oldest
     first (the ISO-dated file names sort chronologically)."""
@@ -296,8 +319,9 @@ def render_history(directory: str) -> str:
 
     One row per committed dated document: aggregate accesses/sec per
     controller, the suite aggregate, the speedup over the seed tree's
-    instrumented loop (:data:`SEED_SUITE_RATE`) and the peak RSS ("-"
-    for documents that predate it).
+    instrumented loop (:data:`SEED_SUITE_RATE`), the seconds spent
+    building compression models and the peak RSS ("-" for documents
+    that predate either).
     """
     documents = history_documents(directory)
     controllers = list(BENCH_CONTROLLERS)
@@ -305,7 +329,8 @@ def render_history(directory: str) -> str:
         for name in controller_rates(document):
             if name not in controllers:
                 controllers.append(name)
-    header = ["document"] + controllers + ["suite", "vs seed", "peak MB"]
+    header = (["document"] + controllers
+              + ["suite", "vs seed", "model s", "peak MB"])
     rows = [header]
     for path, document in documents:
         rates = controller_rates(document)
@@ -317,6 +342,8 @@ def render_history(directory: str) -> str:
             row += [f"{suite:,.0f}", f"{suite / SEED_SUITE_RATE:.2f}x"]
         else:
             row += ["-", "-"]
+        model_s = _model_seconds(document)
+        row.append(f"{model_s:.2f}" if model_s is not None else "-")
         rss = document.get("peak_rss_mb")
         row.append(f"{rss:,.1f}" if isinstance(rss, (int, float)) else "-")
         rows.append(row)

@@ -8,13 +8,19 @@ hardware would store, and ``decompress`` restores the exact original bytes.
 
 All algorithms operate on blocks of exactly :data:`~repro.common.units.BLOCK_SIZE`
 bytes; the selector handles arbitrary block sequences (pages).
+:func:`selected_size_bits` gives the selector's storage cost of every block
+of a buffer at once, without building any bitstream.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.bits import BitReader, BitWriter
 from repro.common.units import BLOCK_SIZE
@@ -424,8 +430,7 @@ class SelectiveBlockCompressor:
 
     def compress_page(self, page: bytes) -> List[CompressedBlock]:
         """Compress a page block by block (Compresso's unit of work)."""
-        if len(page) % BLOCK_SIZE:
-            raise ValueError(f"page size {len(page)} is not a multiple of {BLOCK_SIZE}")
+        _check_multiple(page)
         return [
             self.compress(page[i : i + BLOCK_SIZE])
             for i in range(0, len(page), BLOCK_SIZE)
@@ -433,8 +438,114 @@ class SelectiveBlockCompressor:
 
     def compressed_page_size(self, page: bytes) -> int:
         """Total compressed bytes of a page under block-level compression."""
-        return sum(block.size_bytes for block in self.compress_page(page))
+        return int(((selected_size_bits(page) + 7) // 8).sum())
 
     def page_ratio(self, page: bytes) -> float:
         """Compression ratio (original / compressed) for one page."""
         return len(page) / max(1, self.compressed_page_size(page))
+
+
+def _check_multiple(data: bytes) -> None:
+    if len(data) % BLOCK_SIZE:
+        raise ValueError(f"page size {len(data)} is not a multiple of {BLOCK_SIZE}")
+
+
+#: Encoder outputs this long or longer are "no fit" (the raw block's size).
+_NO_FIT = BLOCK_SIZE * 8
+#: XOR distance that matches no part of a C-Pack word.
+_NO_WORD = np.uint32(0xFFFF_FFFF)
+
+
+def selected_size_bits(data: bytes) -> np.ndarray:
+    """``SelectiveBlockCompressor().compress(block).size_bits`` of every
+    64 B block of ``data``, computed for all blocks at once.
+
+    An encoder's size depends only on which of its fixed cases each value
+    falls in, so no bitstream is built:
+
+    - zero block: 1 bit;
+    - BDI: a layout fits when every value is within ``[-half, half)`` of
+      the block's first value or below ``half``; its size is fixed;
+    - BPC: 32 bits of base word plus, per bit-plane of the 15 deltas, 2
+      bits (all zeros or all ones), 6 (a single one) or 17;
+    - C-Pack: sixteen words never overflow the 16-entry dictionary, so a
+      word is in it when it equals an earlier non-zero word, and its
+      partial matches compare upper bytes with earlier non-zero words.
+
+    The smallest size under 512 bits wins and the header adds 3 bits; a
+    block no encoder fits is stored raw (515 bits).
+    """
+    _check_multiple(data)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+    best = np.minimum(np.minimum(_bdi_size_bits(raw), _bpc_size_bits(raw)),
+                      _cpack_size_bits(raw))
+    best[~raw.any(axis=1)] = 1
+    header = SelectiveBlockCompressor.HEADER_BITS
+    return np.where(best < _NO_FIT, best, _NO_FIT) + header
+
+
+def _bdi_size_bits(raw: np.ndarray) -> np.ndarray:
+    """Smallest fitting BDI layout's size per block (``_NO_FIT`` if none)."""
+    sizes = np.full(len(raw), _NO_FIT, dtype=np.int64)
+    for base_size, layouts in groupby(BDICompressor.LAYOUTS, key=itemgetter(0)):
+        unsigned = np.dtype(f"u{base_size}")
+        values = raw.view(unsigned.newbyteorder("<")).astype(unsigned,
+                                                             copy=False)
+        base = values[:, :1]
+        # A delta in [-half, half) reaches up to half - 1 above the base
+        # and half below it, so a value below the base counts one closer.
+        # Unsigned, as the encoder's Python ints never wrap around.
+        distance = np.where(values >= base, values - base,
+                            base - values - unsigned.type(1))
+        # The smallest half every value fits: from the base or from zero.
+        need = np.minimum(distance, values).max(axis=1)
+        for _, delta_size in layouts:
+            fits = need < unsigned.type(1 << (delta_size * 8 - 1))
+            sizes[fits] = np.minimum(sizes[fits],
+                                     _bdi_bits(base_size, delta_size))
+    return sizes
+
+
+def _bpc_size_bits(raw: np.ndarray) -> np.ndarray:
+    """BPC's encoded size per block: the base word plus each plane's code."""
+    planes = (1 << BPCCompressor.PLANES) - 1
+    words = raw.view(">u4").astype(np.int64)
+    deltas = (words[:, 1:] - words[:, :-1]) & planes
+    # Bit-sliced counts over the 15 deltas: a plane's bit is set in
+    # ``seen`` when a delta has a one there, in ``twice`` when two do and
+    # in ``every`` when all do.
+    seen = np.zeros(len(raw), dtype=np.int64)
+    twice = np.zeros(len(raw), dtype=np.int64)
+    every = np.full(len(raw), planes, dtype=np.int64)
+    for delta in deltas.T:
+        twice |= seen & delta
+        seen |= delta
+        every &= delta
+    single = _popcount(seen & ~twice)
+    uniform = BPCCompressor.PLANES - _popcount(seen) + _popcount(every)
+    other = BPCCompressor.PLANES - uniform - single
+    return 32 + 2 * uniform + 6 * single + (2 + BPCCompressor.DELTA_COUNT) * other
+
+
+def _popcount(values: np.ndarray) -> np.ndarray:
+    """Set bits of each int64 value."""
+    bits = np.unpackbits(values.view(np.uint8).reshape(len(values), 8), axis=1)
+    return bits.sum(axis=1, dtype=np.int64)
+
+
+def _cpack_size_bits(raw: np.ndarray) -> np.ndarray:
+    """C-Pack's encoded size per block: each word's pattern cost."""
+    words = raw.view(">u4").astype(np.uint32)
+    nonzero = words != 0
+    # XOR with the closest earlier non-zero word: 0 is a full match, under
+    # 2**8 an upper-3-byte match and under 2**16 an upper-2-byte match.
+    closest = np.full(words.shape, _NO_WORD)
+    for earlier in range(words.shape[1] - 1):
+        xor = words[:, earlier:earlier + 1] ^ words[:, earlier + 1:]
+        xor[~nonzero[:, earlier]] = _NO_WORD
+        np.minimum(closest[:, earlier + 1:], xor, out=closest[:, earlier + 1:])
+    costs = np.select(
+        [~nonzero, closest == 0, words <= 0xFF, closest < 1 << 8,
+         closest < 1 << 16],
+        [2, 6, 12, 16, 24], default=34)
+    return costs.sum(axis=1)

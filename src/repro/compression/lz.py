@@ -23,8 +23,11 @@ configured window -- functionally what a hardware CAM of that size finds.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
+
+import numpy as np
 
 from repro.common.units import KIB
 
@@ -38,6 +41,22 @@ MAX_MATCH = 4096
 #: Bytes compared per slice while extending a match, before the
 #: byte-by-byte tail.
 _COMPARE_CHUNK = 16
+
+
+def _chain_links(data: bytes) -> np.ndarray:
+    """For each position with a full 4-byte prefix, the latest earlier
+    position with the same prefix, or -1: the hash chain's links."""
+    count = len(data) - MIN_MATCH + 1
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    raw = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
+    keys = (raw[:count] | raw[1:count + 1] << 8 | raw[2:count + 2] << 16
+            | raw[3:count + 3] << 24)
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    links = np.full(count, -1, dtype=np.int64)
+    links[order[1:][same]] = order[:-1][same]
+    return links
 
 
 @dataclass(frozen=True)
@@ -122,28 +141,27 @@ class LZCompressor:
 
         Chains are keyed by the 4-byte prefix itself, so every candidate
         matches at least :data:`MIN_MATCH` bytes and the output cannot
-        depend on the process's hash seed.  A candidate whose byte at
-        ``best_length`` differs from the current position's cannot give
-        a strictly longer match and is skipped without being measured;
-        it still counts against ``max_chain``.
+        depend on the process's hash seed.  A position's chain link does
+        not depend on the matches found (:func:`_chain_links`), so the
+        matcher jumps straight to the next position with a candidate in
+        the window.  A candidate whose byte at ``best_length`` differs
+        from the current position's cannot give a strictly longer match
+        and is skipped without being measured; it still counts against
+        ``max_chain``.
         """
         window = self.config.window_size
         max_chain = self.config.max_chain
         tokens: List[LZToken] = []
-        head: Dict[bytes, int] = {}  # 4-byte prefix -> most recent position
         length = len(data)
-        prev = [-1] * length  # position -> previous position, same prefix
-        last_start = length - MIN_MATCH  # last position with a full prefix
+        links = _chain_links(data)
+        prev = links.tolist()
+        starts = np.flatnonzero(
+            (links >= 0) & (np.arange(len(links)) - links <= window)).tolist()
         literal_start = 0
-        position = 0
-        while position <= last_start:
-            key = data[position : position + MIN_MATCH]
-            candidate = head.get(key, -1)
-            prev[position] = candidate
-            head[key] = position
-            if candidate < 0 or position - candidate > window:
-                position += 1  # literal
-                continue
+        index = 0
+        while index < len(starts):
+            position = starts[index]
+            candidate = prev[position]
             # The first candidate matches at least MIN_MATCH bytes.
             limit = min(length - position, MAX_MATCH)
             best_length = 0
@@ -172,11 +190,6 @@ class LZCompressor:
                             break
                 candidate = prev[candidate]
                 chain += 1
-            end = position + best_length
-            for step in range(position + 1, min(end, last_start + 1)):
-                key = data[step : step + MIN_MATCH]
-                prev[step] = head.get(key, -1)
-                head[key] = step
             tokens.append(
                 LZToken(
                     literals=data[literal_start:position],
@@ -184,7 +197,8 @@ class LZCompressor:
                     match_offset=best_offset,
                 )
             )
-            position = literal_start = end
+            literal_start = position + best_length
+            index = bisect_left(starts, literal_start, index + 1)
         if literal_start < length or not tokens:
             tokens.append(LZToken(literals=data[literal_start:]))
         return tokens

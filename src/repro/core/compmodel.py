@@ -1,11 +1,13 @@
 """Per-page compression oracles.
 
 Running the bit-exact Deflate over every page a simulation migrates would
-dominate runtime (Python pays about 4 ms per 4 KB page for Deflate and
-about as much again for the block selector), so each workload gets an
-oracle: a *sample* of its pages is pushed through the real codecs
-(page-level Deflate with the pipeline timing model, and the block-level
-best-of selector), and every simulated page deterministically maps to one
+dominate runtime (Python pays about 2 ms per 4 KB page for Deflate), so
+each workload gets an oracle: a *sample* of its pages is pushed through
+the real codecs (page-level Deflate with the pipeline timing model, and
+the block-level best-of selector's sizes from
+:func:`~repro.compression.block.selected_size_bits`, about 0.1 ms per
+page with all sampled pages in one call, against 3 ms for the per-block
+encoders), and every simulated page deterministically maps to one
 of the measured records.  The simulator therefore sees genuine compressed
 sizes and latencies -- including their variance -- at trace-replay speed,
 and the Figure 15 benches still run the codecs on full corpora.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
 from repro.common.units import PAGE_SIZE
-from repro.compression.block import SelectiveBlockCompressor
+from repro.compression.block import selected_size_bits
 from repro.compression.deflate import (
     DeflateCodec,
     DeflateConfig,
@@ -75,14 +77,12 @@ class PageCompressionModel:
         if sample_pages <= 0:
             raise ValueError("need at least one sample page")
         codec = DeflateCodec(deflate_config)
-        blocks = SelectiveBlockCompressor()
+        pages = [content(seed * 100_000 + index) for index in range(sample_pages)]
+        block_bytes = ((selected_size_bits(b"".join(pages)) + 7) // 8).reshape(
+            sample_pages, -1).tolist()
         self._records: List[PageRecord] = []
-        for index in range(sample_pages):
-            page = content(seed * 100_000 + index)
+        for page, block_sizes in zip(pages, block_bytes):
             compressed = codec.compress(page)
-            block_sizes = tuple(
-                b.size_bytes for b in blocks.compress_page(page)
-            )
             self._records.append(
                 PageRecord(
                     deflate_bytes=compressed.size_bytes,
@@ -97,7 +97,7 @@ class PageCompressionModel:
                     ibm_decompress_full_ns=ibm.decompress_latency_ns(PAGE_SIZE),
                     ibm_compress_ns=ibm.compress_latency_ns(PAGE_SIZE),
                     block_bytes=sum(block_sizes),
-                    block_sizes=block_sizes,
+                    block_sizes=tuple(block_sizes),
                 )
             )
 

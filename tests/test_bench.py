@@ -114,6 +114,9 @@ def test_cli_bench_runs_and_gates(tmp_path, capsys):
     assert all(c["accesses_per_s"] > 0 for c in record["configs"])
     assert record["suite_accesses"] == 3 * 1500
     assert record["peak_rss_mb"] > 0
+    [setup] = record["setup"]
+    assert setup["workload"] == "omnetpp"
+    assert setup["build_s"] > 0 and setup["model_s"] > 0
 
     relaxed = tmp_path / "relaxed.json"
     write_document({**record, "configs": [
@@ -196,6 +199,24 @@ def test_render_history_shows_peak_rss_and_reads_older_documents(tmp_path):
     loaded = load_document(str(tmp_path / "BENCH_2026-01-01.json"))
     assert compare_to_baseline(newer, loaded, 0.20) == []
     assert compare_to_baseline(loaded, newer, 0.20) == []
+
+
+def test_render_history_shows_model_seconds_and_reads_older_documents(
+        tmp_path):
+    """The model column sums each workload's ``model_s``; documents from
+    before ``setup`` load, compare and render with a "-" there."""
+    older = document({("mcf", "tmcc"): 500.0}, suite_rate=500.0)
+    newer = dict(document({("mcf", "tmcc"): 600.0}, suite_rate=600.0),
+                 setup=[{"workload": "mcf", "build_s": 0.5, "model_s": 0.25},
+                        {"workload": "bfs", "build_s": 0.9, "model_s": 0.5}])
+    write_document(older, str(tmp_path / "BENCH_2026-01-01.json"))
+    write_document(newer, str(tmp_path / "BENCH_2026-02-01.json"))
+    lines = render_history(str(tmp_path)).splitlines()
+    assert lines[0].split()[-4:] == ["model", "s", "peak", "MB"]
+    assert lines[2].split()[-2:] == ["-", "-"]
+    assert lines[3].split()[-2:] == ["0.75", "-"]
+    loaded = load_document(str(tmp_path / "BENCH_2026-01-01.json"))
+    assert compare_to_baseline(newer, loaded, 0.20) == []
 
 
 def test_render_history_reads_documents_with_a_numpy_host_flag(tmp_path):

@@ -15,6 +15,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_SIZE
 from repro.workloads.content import ContentSynthesizer
@@ -25,6 +27,12 @@ _OMNETPP_BASE = 3 << 32
 _CANNEAL_BASE = 4 << 32
 _SMALL_BASE = 5 << 32
 _BW_BASE = 6 << 32
+
+
+def _kernel_offset(kernel: str) -> int:
+    """Per-kernel seed offset that every process agrees on (``hash()``
+    of a string changes with ``PYTHONHASHSEED``)."""
+    return zlib.crc32(kernel.encode()) % 1000
 
 
 def mcf_workload(footprint_pages: int = 24_000, max_accesses: int = 120_000,
@@ -160,7 +168,7 @@ def small_workload(kernel: str, footprint_pages: int = 1_500,
     """Small-footprint, mostly regular workloads (low TLB pressure)."""
     if kernel not in SMALL_KERNELS:
         raise ValueError(f"unknown small kernel {kernel!r}")
-    rng = DeterministicRNG(seed + hash(kernel) % 1000)
+    rng = DeterministicRNG(seed + _kernel_offset(kernel))
     base = _SMALL_BASE
     footprint_bytes = footprint_pages * PAGE_SIZE
     trace = Trace()
@@ -213,7 +221,7 @@ def bandwidth_workload(kernel: str, footprint_pages: int = 6_000,
     """Streaming/stencil kernels that saturate channel bandwidth."""
     if kernel not in BANDWIDTH_KERNELS:
         raise ValueError(f"unknown bandwidth kernel {kernel!r}")
-    rng = DeterministicRNG(seed + hash(kernel) % 1000)
+    rng = DeterministicRNG(seed + _kernel_offset(kernel))
     base = _BW_BASE
     footprint_bytes = footprint_pages * PAGE_SIZE
     third = footprint_bytes // 3 & ~4095

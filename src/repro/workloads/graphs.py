@@ -13,8 +13,9 @@ instead of being baked in.
 Memory layout (byte addresses, one contiguous virtual region):
 
     offsets:   (V + 1) x 8 B
-    edges:     E x 8 B       (the simulated layout; the host keeps the
-                              targets as int32, see CSRGraph)
+    edges:     E x 8 B       (the simulated layout; the host stores no
+                              targets but draws them on demand, see
+                              CSRGraph)
     prop A/B:  V x 64 B each     (vertex property structs: ranks, labels,
                                   distances, degrees... GraphBIG keeps
                                   cache-block-sized records per vertex)
@@ -23,8 +24,8 @@ Memory layout (byte addresses, one contiguous virtual region):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from array import array
+from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
@@ -35,44 +36,100 @@ from repro.workloads.trace import Trace, Workload
 #: Base virtual address of graph data (arbitrary, page aligned).
 GRAPH_BASE = 1 << 32
 
-#: Edge targets drawn per step of :meth:`CSRGraph.power_law`: set-up
-#: holds one chunk of float64 scratch (512 KB), not edge-length
-#: temporaries.
-_EDGE_CHUNK = 1 << 16
+#: Most edge targets one draw makes, into 8 KB of float64 scratch.  A
+#: longer range, such as a hub's adjacency (up to V/2 edges), is drawn
+#: a span at a time as it is read.  A request that starts in the last
+#: span drawn, or at most a span past its end, draws a full span: a
+#: sweep over consecutive vertices then reads the next adjacencies from
+#: it instead of drawing each.
+_SPAN = 1 << 10
+
+#: Spans up to this long are drawn with float arithmetic on a list,
+#: which is cheaper than numpy's per-call cost for so few targets.
+_SHORT = 8
 
 
-@dataclass
 class CSRGraph:
     """Compressed-sparse-row graph with Zipf-skewed degrees.
 
-    Edge targets are vertex ids, so the host stores them as int32 (half
-    the bytes of int64); ``num_vertices`` must fit int32.
+    Only the offsets are stored.  Edge ``e``'s target is
+    ``floor(u * u * V)`` for the ``e``-th double of the PCG64 stream the
+    degree draws left behind; each double takes exactly one 64-bit word
+    of the stream, so ``PCG64.advance`` jumps to any edge and
+    :meth:`targets` draws a span on demand.  The last span drawn is kept
+    as an int32 ``array``.  Targets are vertex ids, so ``num_vertices``
+    must fit int32.
     """
 
-    offsets: np.ndarray  # int64[V + 1]
-    edges: np.ndarray    # int32[E]
+    def __init__(self, offsets: np.ndarray,
+                 edge_stream: np.random.Generator) -> None:
+        self.offsets = offsets  # int64[V + 1]
+        #: The offsets again, without a copy: indexing a memoryview
+        #: gives a Python int for half the cost of a numpy scalar read.
+        self.bounds = memoryview(offsets)
+        self.num_vertices = len(offsets) - 1
+        self.num_edges = int(offsets[-1])
+        #: Bit-generator state at edge 0 (just after the degree draws).
+        self.edge_state = edge_stream.bit_generator.state
+        self._stream = edge_stream
+        self._position = 0  # the edge whose word the stream gives next
+        self._span = array("i")
+        self._span_start = 0
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.offsets) - 1
+    def targets(self, start: int, stop: int) -> Iterable[int]:
+        """Targets of edges ``start`` to ``stop`` (exclusive), in order.
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+        Longer ranges than ``_SPAN`` come back as an iterator that draws
+        a span at a time, so a consumer that stops early draws no more.
+        """
+        offset = start - self._span_start
+        span = self._span
+        if offset >= 0 and offset + stop - start <= len(span):
+            return span[offset:offset + stop - start]
+        if stop - start > _SPAN:
+            return self._spans(start, stop)
+        count = stop - start
+        if 0 <= offset <= len(span) + _SPAN:
+            count = min(_SPAN, self.num_edges - start)
+        self._span = span = self._draw(start, count)
+        self._span_start = start
+        return span if count == stop - start else span[:stop - start]
 
-    def neighbors(self, vertex: int) -> np.ndarray:
-        return self.edges[self.offsets[vertex]:self.offsets[vertex + 1]]
+    def neighbors(self, vertex: int) -> Iterable[int]:
+        return self.targets(self.bounds[vertex], self.bounds[vertex + 1])
+
+    def _spans(self, start: int, stop: int) -> Iterator[int]:
+        for low in range(start, stop, _SPAN):
+            yield from self.targets(low, min(stop, low + _SPAN))
+
+    def _draw(self, start: int, count: int) -> array:
+        """Targets of edges ``start`` to ``start + count``."""
+        stream = self._stream
+        if start != self._position:
+            stream.bit_generator.advance(int(start - self._position))
+        self._position = start + count
+        size = self.num_vertices
+        if count <= _SHORT:
+            # Python floats are the same IEEE doubles, squared and
+            # scaled in the same order; int() truncates like astype.
+            return array("i", [int(u * u * size)
+                               for u in stream.random(count).tolist()])
+        draw = stream.random(count)
+        np.square(draw, out=draw)
+        np.multiply(draw, size, out=draw)
+        return array("i", draw.astype(np.int32).tobytes())
 
     @classmethod
     def power_law(cls, num_vertices: int, avg_degree: int, seed: int) -> "CSRGraph":
         """Build a graph with Zipf-like degree distribution.
 
         Targets are also Zipf-skewed (hubs attract edges), matching social
-        graphs like the paper's datagen-8_5-fb dataset.
+        graphs like the paper's datagen-8_5-fb dataset; they are drawn on
+        demand from the stream the degree draws leave behind.
         """
         if num_vertices > np.iinfo(np.int32).max:
             raise ValueError(f"num_vertices {num_vertices} does not fit "
-                             f"the int32 edge column")
+                             f"int32 edge targets")
         rng = np.random.default_rng(seed)
         raw = rng.zipf(1.6, size=num_vertices)
         degrees = np.minimum(raw * avg_degree // 2, num_vertices // 2)
@@ -80,20 +137,7 @@ class CSRGraph:
         degrees = np.maximum(1, (degrees * scale).astype(np.int64))
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        num_edges = int(offsets[-1])
-        # Hub-skewed targets: square a uniform to bias toward low ids.
-        # Drawn a chunk at a time into one scratch buffer: the chunks
-        # read the same random stream as one full draw, and assigning
-        # float64 into the int32 column truncates like astype.
-        edges = np.empty(num_edges, dtype=np.int32)
-        scratch = np.empty(min(num_edges, _EDGE_CHUNK))
-        for start in range(0, num_edges, _EDGE_CHUNK):
-            chunk = scratch[:min(_EDGE_CHUNK, num_edges - start)]
-            rng.random(out=chunk)
-            np.square(chunk, out=chunk)
-            np.multiply(chunk, num_vertices, out=chunk)
-            edges[start:start + len(chunk)] = chunk
-        return cls(offsets=offsets, edges=edges)
+        return cls(offsets, rng)
 
 
 class _TraceBuilder:
@@ -133,6 +177,19 @@ class _TraceBuilder:
     def edge(self, i: int, write: bool = False) -> None:
         self._record(self._edges_base + 8 * i, write)
 
+    def edges(self, start: int, stop: int) -> None:
+        """Record reads of edges ``start`` to ``stop`` (exclusive): the
+        accesses ``edge`` would record one by one, up to the budget."""
+        addresses = self.trace.addresses
+        stop = min(stop, start + self.max_accesses - len(addresses))
+        if start >= stop:
+            return
+        addresses.extend(range(self._edges_base + 8 * start,
+                               self._edges_base + 8 * stop, 8))
+        self.trace.writes.extend(bytes(stop - start))
+        if len(addresses) >= self.max_accesses:
+            raise _TraceBuilder._Done
+
     def prop_a(self, v: int, write: bool = False) -> None:
         self._record(self._prop_a_base + self.prop_stride * v, write)
 
@@ -163,14 +220,16 @@ def _sweep_order(v: int, rng: DeterministicRNG):
 
 def _pagerank(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     while True:
         for vertex in _sweep_order(v, rng):
             t.offsets(vertex)
             t.offsets(vertex + 1)
             total = 0.0
-            for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
+            start = bounds[vertex]
+            for e, neighbour in enumerate(
+                    g.targets(start, bounds[vertex + 1]), start):
                 t.edge(e)
-                neighbour = int(g.edges[e])
                 t.prop_a(neighbour)  # irregular rank read
                 total += 1.0
             t.prop_b(vertex, write=True)
@@ -178,6 +237,7 @@ def _pagerank(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
 
 def _bfs(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     visited = bytearray(v)
     frontier = [rng.randint(0, v - 1)]
     while True:
@@ -189,9 +249,10 @@ def _bfs(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
         for vertex in frontier:
             t.offsets(vertex)
             t.offsets(vertex + 1)
-            for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
+            start = bounds[vertex]
+            for e, neighbour in enumerate(
+                    g.targets(start, bounds[vertex + 1]), start):
                 t.edge(e)
-                neighbour = int(g.edges[e])
                 t.aux(neighbour)  # visited check
                 if not visited[neighbour]:
                     visited[neighbour] = 1
@@ -202,6 +263,7 @@ def _bfs(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
 
 def _dfs(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     visited = bytearray(v)
     stack = [rng.randint(0, v - 1)]
     while True:
@@ -216,14 +278,17 @@ def _dfs(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
         t.aux(vertex, write=True)
         t.offsets(vertex)
         t.offsets(vertex + 1)
-        for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
-            t.edge(e)
-            stack.append(int(g.edges[e]))
+        start, stop = bounds[vertex], bounds[vertex + 1]
+        t.edges(start, stop)
+        # Pushed after the reads: the trace is the same, and a vertex the
+        # budget cuts short draws none of its targets.
+        stack.extend(g.targets(start, stop))
 
 
 def _connected_components(g: CSRGraph, t: _TraceBuilder,
                           rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     labels = list(range(v))
     while True:
         for vertex in _sweep_order(v, rng):
@@ -231,9 +296,10 @@ def _connected_components(g: CSRGraph, t: _TraceBuilder,
             t.offsets(vertex)
             t.offsets(vertex + 1)
             best = labels[vertex]
-            for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
+            start = bounds[vertex]
+            for e, neighbour in enumerate(
+                    g.targets(start, bounds[vertex + 1]), start):
                 t.edge(e)
-                neighbour = int(g.edges[e])
                 t.prop_a(neighbour)
                 if labels[neighbour] < best:
                     best = labels[neighbour]
@@ -244,15 +310,17 @@ def _connected_components(g: CSRGraph, t: _TraceBuilder,
 
 def _graph_coloring(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     colors = [-1] * v
     while True:
         for vertex in _sweep_order(v, rng):
             t.offsets(vertex)
             t.offsets(vertex + 1)
             taken = set()
-            for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
+            start = bounds[vertex]
+            for e, neighbour in enumerate(
+                    g.targets(start, bounds[vertex + 1]), start):
                 t.edge(e)
-                neighbour = int(g.edges[e])
                 t.prop_b(neighbour)
                 if colors[neighbour] >= 0:
                     taken.add(colors[neighbour])
@@ -273,9 +341,8 @@ def _degree_centrality(g: CSRGraph, t: _TraceBuilder,
             t.offsets(vertex)
             t.offsets(vertex + 1)
             t.prop_a(vertex, write=True)
-        for e in range(g.num_edges):
+        for e, target in enumerate(g.targets(0, g.num_edges)):
             t.edge(e)
-            target = int(g.edges[e])
             t.prop_b(target, write=True)
 
 
@@ -283,6 +350,7 @@ def _shortest_path(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None
     import heapq
 
     v = g.num_vertices
+    bounds = g.bounds
     while True:
         dist = {rng.randint(0, v - 1): 0}
         heap = [(0, next(iter(dist)))]
@@ -294,9 +362,10 @@ def _shortest_path(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None
                 continue
             t.offsets(vertex)
             t.offsets(vertex + 1)
-            for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
+            start = bounds[vertex]
+            for e, neighbour in enumerate(
+                    g.targets(start, bounds[vertex + 1]), start):
                 t.edge(e)
-                neighbour = int(g.edges[e])
                 weight = 1 + (neighbour & 7)
                 t.prop_a(neighbour)  # dist[neighbour] read
                 if d + weight < dist.get(neighbour, 1 << 60):
@@ -308,6 +377,7 @@ def _shortest_path(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None
 
 def _kcore(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     degrees = np.diff(g.offsets).tolist()
     k = 2
     while True:
@@ -320,9 +390,10 @@ def _kcore(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
                 t.prop_a(vertex, write=True)
                 t.offsets(vertex)
                 t.offsets(vertex + 1)
-                for e in range(int(g.offsets[vertex]), int(g.offsets[vertex + 1])):
+                start = bounds[vertex]
+                for e, neighbour in enumerate(
+                        g.targets(start, bounds[vertex + 1]), start):
                     t.edge(e)
-                    neighbour = int(g.edges[e])
                     if degrees[neighbour] > 0:
                         degrees[neighbour] -= 1
                         t.prop_a(neighbour, write=True)
@@ -333,23 +404,24 @@ def _kcore(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
 
 def _triangle_count(g: CSRGraph, t: _TraceBuilder, rng: DeterministicRNG) -> None:
     v = g.num_vertices
+    bounds = g.bounds
     while True:
         for vertex in _sweep_order(v, rng):
             t.offsets(vertex)
             t.offsets(vertex + 1)
-            start, end = int(g.offsets[vertex]), int(g.offsets[vertex + 1])
+            start, end = bounds[vertex], bounds[vertex + 1]
             neighbour_list = []
-            for e in range(start, min(end, start + 32)):
+            for e, neighbour in enumerate(
+                    g.targets(start, min(end, start + 32)), start):
                 t.edge(e)
-                neighbour_list.append(int(g.edges[e]))
+                neighbour_list.append(neighbour)
             # Intersect each neighbour's list with ours: re-reads the same
             # adjacency lists repeatedly -> strong temporal locality.
             for neighbour in neighbour_list[:8]:
                 t.offsets(neighbour)
                 t.offsets(neighbour + 1)
-                ns, ne = int(g.offsets[neighbour]), int(g.offsets[neighbour + 1])
-                for e in range(ns, min(ne, ns + 16)):
-                    t.edge(e)
+                ns, ne = bounds[neighbour], bounds[neighbour + 1]
+                t.edges(ns, min(ne, ns + 16))
 
 
 #: Kernel registry with per-kernel memory intensity (compute cycles per

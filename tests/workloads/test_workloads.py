@@ -14,7 +14,12 @@ from repro.workloads.generators import (
     omnetpp_workload,
     small_workload,
 )
-from repro.workloads.graphs import GRAPH_KERNELS, CSRGraph, graph_workload
+from repro.workloads.graphs import (
+    GRAPH_KERNELS,
+    CSRGraph,
+    _TraceBuilder,
+    graph_workload,
+)
 from repro.workloads.suite import (
     PAPER_WORKLOAD_NAMES,
     paper_workloads,
@@ -32,13 +37,19 @@ def write_fraction(workload):
 # CSR graph
 # ----------------------------------------------------------------------
 
+def all_targets(graph):
+    return np.fromiter(graph.targets(0, graph.num_edges), dtype=np.int64,
+                       count=graph.num_edges)
+
+
 def test_power_law_graph_shape():
     graph = CSRGraph.power_law(num_vertices=5000, avg_degree=8, seed=1)
     assert graph.num_vertices == 5000
     assert graph.num_edges > 5000
     assert (graph.offsets[1:] >= graph.offsets[:-1]).all()
-    assert graph.edges.max() < 5000
-    assert graph.edges.min() >= 0
+    targets = all_targets(graph)
+    assert targets.max() < 5000
+    assert targets.min() >= 0
 
 
 def test_power_law_graph_is_skewed():
@@ -51,20 +62,20 @@ def test_graph_determinism():
     a = CSRGraph.power_law(1000, 8, seed=3)
     b = CSRGraph.power_law(1000, 8, seed=3)
     assert (a.offsets == b.offsets).all()
-    assert (a.edges == b.edges).all()
+    assert (all_targets(a) == all_targets(b)).all()
 
 
-def test_power_law_graph_builds_in_place():
-    """Set-up holds little beyond the graph it keeps: no edge-length
-    float64 temporaries."""
+def test_graph_workload_allocates_no_edge_column():
+    """A full-size graph workload draws the targets it reads: its whole
+    build stays below the 19 MB an int32 column of the graph's 5.02M
+    edge targets would take alone."""
     tracemalloc.start()
     try:
-        graph = CSRGraph.power_law(400_000, 12, seed=1)
+        graph_workload("pageRank", max_accesses=60_000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph.edges.dtype == np.int32
-    assert peak <= 1.5 * (graph.offsets.nbytes + graph.edges.nbytes)
+    assert peak <= 16 * 2**20
 
 
 def test_power_law_rejects_vertex_ids_past_int32():
@@ -74,8 +85,32 @@ def test_power_law_rejects_vertex_ids_past_int32():
 
 def test_neighbors_view():
     graph = CSRGraph.power_law(100, 4, seed=4)
-    neighbours = graph.neighbors(0)
+    neighbours = list(graph.neighbors(0))
     assert len(neighbours) == graph.offsets[1] - graph.offsets[0]
+
+
+@pytest.mark.parametrize("budget", [3, 7, 8, 20, 36, 50])
+def test_edge_range_records_what_edge_by_edge_records(budget):
+    """``_TraceBuilder.edges`` records the same accesses as one ``edge``
+    call per edge, and stops at the same point of the budget."""
+    graph = CSRGraph.power_law(100, 4, seed=4)
+    traces = []
+    for record_range in (True, False):
+        builder = _TraceBuilder(graph, budget)
+        builder.aux(1)
+        try:
+            for start, stop in ((0, 3), (5, 5), (9, 13), (2, 30)):
+                if record_range:
+                    builder.edges(start, stop)
+                else:
+                    for e in range(start, stop):
+                        builder.edge(e)
+            finished = True
+        except _TraceBuilder._Done:
+            finished = False
+        traces.append((builder.trace, finished))
+    assert traces[0] == traces[1]
+    assert len(traces[0][0]) == min(budget, 1 + 3 + 4 + 28)
 
 
 # ----------------------------------------------------------------------

@@ -16,16 +16,9 @@ The subcommands cover the library's main entry points:
 - ``sweep``     -- the sweep engine: ``sweep run`` executes a
   declarative job matrix (a ``.toml``/``.json`` spec or a built-in like
   ``fig18``) into a resumable SQLite store, in parallel with ``-j N``,
-  retrying transient host failures (``--max-retries``), supervising
-  hung workers (``--heartbeat-timeout``), and optionally injecting
-  deterministic host faults (``--chaos``); exit code 4 means some jobs
-  were quarantined after exhausting retries.  Runs write a telemetry
-  journal next to the store (``--no-journal`` disables): ``sweep
-  watch`` follows a live sweep from a second process (progress,
-  throughput, ETA, per-worker state), ``sweep events`` tails/filters
-  the journal or converts it to a Perfetto trace, and ``sweep report``
-  renders the outcome grid, failure table, worker timeline, and a
-  cell-matched cross-sweep trend (``--compare``).  ``sweep ls``/
+  retrying transient host failures (``--max-retries``) and supervising
+  hung workers (``--heartbeat-timeout``); exit code 4 means some jobs
+  were quarantined after exhausting retries.  ``sweep ls``/
   ``show``/``export`` query stores (``export --failures`` emits the
   quarantine report); ``sweep repair`` salvages completed rows from a
   damaged store; ``sweep curve`` (or the historical ``sweep
@@ -133,19 +126,6 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
     if heartbeat_timeout is not None and heartbeat_timeout <= 0:
         return (f"--heartbeat-timeout must be > 0 seconds, "
                 f"got {heartbeat_timeout}")
-    chaos = getattr(args, "chaos", None)
-    if chaos is not None and getattr(args, "no_chaos", False):
-        return "--chaos and --no-chaos are mutually exclusive"
-    if chaos is not None and getattr(args, "jobs", 1) < 2:
-        return "--chaos needs a worker pool; use -j 2 or more"
-    if getattr(args, "journal", None) and getattr(args, "no_journal", False):
-        return "--journal and --no-journal are mutually exclusive"
-    interval = getattr(args, "interval", None)
-    if interval is not None and interval <= 0:
-        return f"--interval must be > 0 seconds, got {interval}"
-    tail = getattr(args, "tail", None)
-    if tail is not None and tail < 0:
-        return f"--tail must be >= 0, got {tail}"
     return None
 
 
@@ -563,7 +543,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     import dataclasses
 
     from repro.common.errors import ConfigError
-    from repro.sweep.chaos import ChaosPlan
     from repro.sweep.engine import RetryPolicy, run_sweep
 
     try:
@@ -571,8 +550,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         if args.timeout is not None:
             spec = dataclasses.replace(spec, job_timeout_s=args.timeout)
         total = len(spec.expand())
-        chaos = (ChaosPlan.parse(args.chaos, seed=args.chaos_seed)
-                 if args.chaos else None)
         retry = RetryPolicy(max_retries=args.max_retries)
     except ConfigError as error:
         print(f"error (config): {error}", file=sys.stderr)
@@ -602,15 +579,10 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
                 line += f"  ({record['error']})"
             print(line, flush=True)
 
-    # Journal on by default: True resolves to the store-adjacent path.
-    journal = None if args.no_journal else (args.journal or True)
-
     try:
         run = run_sweep(spec, store=args.store, workers=args.jobs,
-                        fresh=args.fresh, progress=progress,
-                        retry=retry, chaos=chaos,
-                        heartbeat_timeout_s=args.heartbeat_timeout,
-                        journal=journal)
+                        fresh=args.fresh, progress=progress, retry=retry,
+                        heartbeat_timeout_s=args.heartbeat_timeout)
     except KeyboardInterrupt:
         print(f"\ninterrupted; completed jobs are recorded -- resume with: "
               f"repro sweep run {args.spec} --store {args.store}",
@@ -692,28 +664,6 @@ def _cmd_sweep_show(args: argparse.Namespace) -> int:
               f"{job['controller']:12s} {job['budget']:>8s} "
               f"{job['seed']:>5d} {job['status']:8s} {attempts:>4d} "
               f"{perf:>9s} {ratio:>9s}" + flags)
-
-    import os
-
-    journal_file = store.journal_path(sweep["sweep_id"])
-    if os.path.exists(journal_file):
-        from repro.sweep.telemetry import build_snapshot, read_journal
-
-        snap = build_snapshot(read_journal(journal_file))
-        throughput = ("n/a" if snap.throughput_jpm is None
-                      else f"{snap.throughput_jpm:.1f} jobs/min")
-        if snap.ended:
-            eta = "-"
-        elif snap.eta_s is None:
-            eta = "n/a"
-        else:
-            eta = f"{snap.eta_s:.0f}s"
-        print(f"throughput: {throughput}   ETA: {eta}   "
-              f"elapsed: {snap.elapsed_s:.1f}s")
-    else:
-        print("throughput: n/a   ETA: n/a   (no journal)")
-    print(f"live view: repro sweep watch {sweep['sweep_id']} "
-          f"--store {args.store}")
     return 0
 
 
@@ -764,146 +714,6 @@ def _cmd_sweep_export(args: argparse.Namespace) -> int:
         print(f"exported {count} {noun} to {args.out}")
     else:
         print(text, end="")
-    return 0
-
-
-def _cmd_sweep_watch(args: argparse.Namespace) -> int:
-    """Follow a live sweep from a second process: re-render the journal
-    snapshot every ``--interval`` seconds until the sweep ends."""
-    import os
-    import time
-
-    from repro.common.errors import ConfigError
-    from repro.sweep.store import SweepStore
-    from repro.sweep.telemetry import (
-        build_snapshot,
-        read_journal,
-        render_snapshot,
-    )
-
-    store = SweepStore.open(args.store)
-    sweep = store.find_sweep(args.sweep)
-    journal_file = args.journal or store.journal_path(sweep["sweep_id"])
-    if not os.path.exists(journal_file):
-        raise ConfigError(
-            f"no journal at {journal_file!r}; the journal is on by "
-            f"default for `repro sweep run` -- was this sweep run with "
-            f"--no-journal?")
-    try:
-        while True:
-            snap = build_snapshot(read_journal(journal_file))
-            frame = render_snapshot(snap, store_path=args.store)
-            if not args.once and sys.stdout.isatty():
-                print("\x1b[H\x1b[2J", end="")
-            print(frame, flush=True)
-            if args.once or snap.ended:
-                return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
-        return 0
-
-
-def _cmd_sweep_events(args: argparse.Namespace) -> int:
-    """Tail/filter/export the telemetry journal."""
-    import os
-
-    from repro.common.errors import ConfigError
-    from repro.sweep.store import SweepStore
-    from repro.sweep.telemetry import (
-        EVENT_KINDS,
-        journal_spans,
-        read_journal,
-    )
-
-    store = SweepStore.open(args.store)
-    sweep = store.find_sweep(args.sweep)
-    journal_file = args.journal or store.journal_path(sweep["sweep_id"])
-    if not os.path.exists(journal_file):
-        raise ConfigError(
-            f"no journal at {journal_file!r}; the journal is on by "
-            f"default for `repro sweep run` -- was this sweep run with "
-            f"--no-journal?")
-    events = read_journal(journal_file)
-    origin = next((event["mono"] for event in events
-                   if isinstance(event.get("mono"), (int, float))), 0.0)
-    if args.job is not None:
-        # The index filter also keeps index-less events (worker deaths,
-        # store retries) that name one of the matching job_ids.
-        job_ids = {event.get("job_id") for event in events
-                   if event.get("index") == args.job and event.get("job_id")}
-        events = [event for event in events
-                  if event.get("index") == args.job
-                  or event.get("job_id") in job_ids]
-    if args.kind:
-        kinds = {item.strip() for item in args.kind.split(",")
-                 if item.strip()}
-        unknown = kinds - set(EVENT_KINDS)
-        if unknown:
-            raise ConfigError(
-                f"unknown event kind(s) {sorted(unknown)}; choose from "
-                f"{sorted(EVENT_KINDS)}")
-        events = [event for event in events if event.get("event") in kinds]
-    if args.perfetto:
-        from repro.sim.tracing import write_trace_file
-
-        spans = journal_spans(events)
-        write_trace_file(spans, args.perfetto,
-                         metadata={"sweep_id": sweep["sweep_id"],
-                                   "journal": journal_file})
-        print(f"wrote {len(spans)} spans to {args.perfetto}")
-        return 0
-    if args.tail:
-        events = events[-args.tail:]
-    if args.json:
-        for event in events:
-            print(json.dumps(event, sort_keys=True))
-        return 0
-    for event in events:
-        kind = str(event.get("event"))
-        mono = event.get("mono")
-        offset = (float(mono) - origin
-                  if isinstance(mono, (int, float)) else 0.0)
-        details = " ".join(
-            f"{key}={event[key]}" for key in EVENT_KINDS.get(kind, ())
-            if key in event)
-        print(f"{event.get('seq', 0):>5d} +{offset:9.3f}s {kind:14s} "
-              f"{details}")
-    return 0
-
-
-def _cmd_sweep_report(args: argparse.Namespace) -> int:
-    """Render the sweep report section (outcome grid, failures, worker
-    timeline, optional cross-sweep trend)."""
-    import os
-
-    from repro.reporting import build_sweep_report
-    from repro.sweep.store import SweepStore
-    from repro.sweep.telemetry import read_journal
-
-    store = SweepStore.open(args.store)
-    sweep = store.find_sweep(args.sweep)
-    document = store.export_document(sweep["sweep_id"])
-    journal_file = store.journal_path(sweep["sweep_id"])
-    events = (read_journal(journal_file)
-              if os.path.exists(journal_file) else None)
-    compare_document = None
-    compare_label = "B"
-    if args.compare:
-        other = store.find_sweep(args.compare)
-        compare_document = store.export_document(other["sweep_id"])
-        compare_label = other["sweep_id"]
-    report = build_sweep_report(document, events=events,
-                                compare_document=compare_document,
-                                compare_label=compare_label)
-    if args.out:
-        html = args.html or args.out.endswith(".html")
-        report.write(args.out, html=html)
-        print(f"report written to {args.out}")
-    elif args.html:
-        print(report.to_html())
-    else:
-        print(report.to_markdown())
     return 0
 
 
@@ -975,9 +785,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "ls": _cmd_sweep_ls,
         "show": _cmd_sweep_show,
         "export": _cmd_sweep_export,
-        "watch": _cmd_sweep_watch,
-        "events": _cmd_sweep_events,
-        "report": _cmd_sweep_report,
         "curve": _cmd_sweep_curve,
         "repair": _cmd_sweep_repair,
     }
@@ -1281,26 +1088,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="kill and replace a worker silent for this "
                                 "long (default: off; worker *death* is "
                                 "always detected)")
-    sweep_run.add_argument("--chaos", metavar="PLAN", default=None,
-                           help="inject host faults: "
-                                "kind[:count[:param]][@index],... with "
-                                "kinds worker_kill/hang/enospc/"
-                                "corrupt_row (needs -j >= 2)")
-    sweep_run.add_argument("--chaos-seed", type=int, default=0, metavar="N",
-                           help="seed for chaos victim choice (default: 0)")
-    sweep_run.add_argument("--no-chaos", action="store_true",
-                           help="explicitly disable fault injection "
-                                "(rejects a conflicting --chaos)")
     sweep_run.add_argument("--timeout", type=float, metavar="SECONDS",
                            help="per-job wall-clock watchdog "
                                 "(overrides the spec's job_timeout_s)")
-    sweep_run.add_argument("--journal", metavar="PATH", default=None,
-                           help="telemetry event journal path (default: "
-                                "<store>.<sweep_id>.journal.jsonl, "
-                                "written automatically)")
-    sweep_run.add_argument("--no-journal", action="store_true",
-                           help="disable the telemetry journal (results "
-                                "are byte-identical either way)")
 
     sweep_ls = sweep_sub.add_parser("ls", help="list recorded sweeps")
     sweep_ls.add_argument("--store", default="sweeps.db", metavar="PATH")
@@ -1325,63 +1115,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="export only failed/quarantined jobs "
                                    "(idx, last error, attempts) instead "
                                    "of the full document")
-
-    sweep_watch = sweep_sub.add_parser(
-        "watch", help="follow a live sweep's telemetry journal "
-                      "(progress, throughput, ETA, per-worker state)")
-    sweep_watch.add_argument("sweep",
-                             help="sweep id, id prefix, or sweep name")
-    sweep_watch.add_argument("--store", default="sweeps.db", metavar="PATH")
-    sweep_watch.add_argument("--journal", metavar="PATH", default=None,
-                             help="journal file (default: the store-"
-                                  "adjacent path `sweep run` writes)")
-    sweep_watch.add_argument("--interval", type=float, default=2.0,
-                             metavar="SECONDS",
-                             help="refresh period (default: 2)")
-    sweep_watch.add_argument("--once", action="store_true",
-                             help="print one status frame and exit")
-
-    sweep_events = sweep_sub.add_parser(
-        "events", help="tail/filter/export the telemetry journal")
-    sweep_events.add_argument("sweep",
-                              help="sweep id, id prefix, or sweep name")
-    sweep_events.add_argument("--store", default="sweeps.db",
-                              metavar="PATH")
-    sweep_events.add_argument("--journal", metavar="PATH", default=None,
-                              help="journal file (default: the store-"
-                                   "adjacent path `sweep run` writes)")
-    sweep_events.add_argument("--kind", metavar="CSV", default=None,
-                              help="only these event kinds "
-                                   "(comma-separated, e.g. "
-                                   "job_retry,worker_death)")
-    sweep_events.add_argument("--job", type=int, metavar="IDX",
-                              default=None,
-                              help="only events about this matrix index")
-    sweep_events.add_argument("--tail", type=int, metavar="N", default=0,
-                              help="only the last N events (default: all)")
-    sweep_events.add_argument("--json", action="store_true",
-                              help="raw JSONL instead of the aligned "
-                                   "human format")
-    sweep_events.add_argument("--perfetto", metavar="PATH", default=None,
-                              help="convert the (filtered) journal to a "
-                                   "Perfetto trace at PATH instead of "
-                                   "printing")
-
-    sweep_report = sweep_sub.add_parser(
-        "report", help="render a sweep report: outcome grid, failures, "
-                       "worker timeline, cross-sweep trend")
-    sweep_report.add_argument("sweep",
-                              help="sweep id, id prefix, or sweep name")
-    sweep_report.add_argument("--store", default="sweeps.db",
-                              metavar="PATH")
-    sweep_report.add_argument("--compare", metavar="OTHER", default=None,
-                              help="second sweep (same store) for the "
-                                   "cell-matched trend section")
-    sweep_report.add_argument("--out", metavar="PATH",
-                              help="write the report here instead of "
-                                   "stdout")
-    sweep_report.add_argument("--html", action="store_true",
-                              help="render HTML instead of markdown")
 
     sweep_repair = sweep_sub.add_parser(
         "repair", help="salvage completed rows from a damaged store "

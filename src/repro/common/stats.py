@@ -89,7 +89,7 @@ class RatioStat:
 
 @dataclass(slots=True)
 class Histogram:
-    """Accumulates samples; reports count/sum/mean and percentiles."""
+    """Accumulates samples; reports count/sum/mean."""
 
     name: str
     samples: List[float] = field(default_factory=list)
@@ -108,22 +108,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return mean(self.samples)
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile with ``fraction`` in [0, 1].
-
-        An empty histogram reports 0.0 for any valid fraction; a single
-        sample is every percentile of itself.  An out-of-range fraction
-        raises even when empty -- a bad fraction is a caller bug, not a
-        property of the data.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[rank]
 
     def reset(self) -> None:
         self.samples.clear()

@@ -502,214 +502,6 @@ def _relative_cell(row: Mapping[str, object]) -> str:
     return f"{relative:+.2%}"
 
 
-# ----------------------------------------------------------------------
-# Sweep reports (``repro sweep report``)
-# ----------------------------------------------------------------------
-
-
-#: Result fields the sweep trend view compares across two sweeps.
-SWEEP_TREND_FIELDS = ("performance", "compression_ratio",
-                      "avg_l3_miss_latency_ns")
-
-
-def _sweep_cell_key(job: Mapping[str, object]) -> tuple:
-    """A matrix cell's identity across sweeps: the simulated
-    coordinates, never the sweep/store identity -- two differently
-    named sweeps over the same matrix match cell-for-cell (their
-    job_ids hash to the same values for the same coordinates, which is
-    the spec_hash cell-matching discipline)."""
-    return (job.get("workload"), job.get("controller"), job.get("budget"),
-            job.get("seed"), job.get("faults") or "")
-
-
-def _sweep_column(job: Mapping[str, object]) -> str:
-    budget = str(job.get("budget") or "none")
-    controller = str(job.get("controller"))
-    return controller if budget == "none" else f"{controller}@{budget}"
-
-
-def _outcome_cell(jobs: Sequence[Mapping[str, object]]) -> str:
-    """One outcome-grid cell aggregating a (workload, column) group
-    over its seeds/repeats."""
-    done = sum(1 for job in jobs if job.get("status") == "done"
-               and not job.get("quarantined"))
-    total = len(jobs)
-    flags = []
-    for status, flag in (("failed", "FAIL"), ("timeout", "TIME")):
-        n = sum(1 for job in jobs if job.get("status") == status)
-        if n:
-            flags.append(f"{n} {flag}")
-    quarantined = sum(1 for job in jobs if job.get("quarantined"))
-    if quarantined:
-        flags.append(f"{quarantined} QUAR")
-    open_jobs = sum(1 for job in jobs
-                    if job.get("status") in ("pending", "running"))
-    if open_jobs:
-        flags.append(f"{open_jobs} open")
-    label = "ok" if done == total else f"{done}/{total} ok"
-    return label if not flags else (
-        f"{done}/{total} ok, " + ", ".join(flags) if done
-        else ", ".join(flags))
-
-
-def build_sweep_report(
-    document: Mapping[str, object],
-    events: Optional[Sequence[Mapping[str, object]]] = None,
-    compare_document: Optional[Mapping[str, object]] = None,
-    compare_label: str = "B",
-) -> RunReport:
-    """The sweep section of the reporting surface.
-
-    ``document`` is :meth:`repro.sweep.store.SweepStore.export_document`
-    output; ``events`` (a loaded telemetry journal) adds the live
-    snapshot and per-worker timeline; ``compare_document`` (another
-    sweep's export) adds the cross-sweep trend table, matching matrix
-    cells by their simulated coordinates.
-    """
-    sweep = document.get("sweep")
-    jobs = document.get("jobs")
-    if not isinstance(sweep, Mapping) or not isinstance(jobs, list):
-        raise ConfigError(
-            "not a sweep export document (missing sweep/jobs); expected "
-            "the output of `repro sweep export`")
-    report = RunReport(title=f"Sweep report: {sweep.get('sweep_id')}")
-
-    overview = ReproducedTable("overview", ("field", "value"))
-    overview.add_row("name", str(sweep.get("name", "")))
-    overview.add_row("status", str(sweep.get("status", "")))
-    overview.add_row("spec_hash", str(sweep.get("spec_hash", "")))
-    overview.add_row("jobs", len(jobs))
-    for status in ("done", "failed", "timeout", "pending", "running"):
-        count = sum(1 for job in jobs if job.get("status") == status)
-        if count:
-            overview.add_row(status, count)
-    quarantined = sum(1 for job in jobs if job.get("quarantined"))
-    if quarantined:
-        overview.add_row("quarantined", quarantined)
-    retries = sum(max(0, int(job.get("attempts") or 1) - 1) for job in jobs)
-    if retries:
-        overview.add_row("retries", retries)
-    report.add(ReportSection("Overview", table=overview))
-
-    # Per-cell outcome grid: workloads down, controller@budget across.
-    columns: List[str] = []
-    workloads: List[str] = []
-    grouped: Dict[tuple, List[Mapping[str, object]]] = {}
-    for job in jobs:
-        column = _sweep_column(job)
-        workload = str(job.get("workload"))
-        if column not in columns:
-            columns.append(column)
-        if workload not in workloads:
-            workloads.append(workload)
-        grouped.setdefault((workload, column), []).append(job)
-    grid = ReproducedTable("outcomes", ("workload", *columns))
-    for workload in workloads:
-        cells = [
-            _outcome_cell(grouped[(workload, column)])
-            if (workload, column) in grouped else "-"
-            for column in columns
-        ]
-        grid.add_row(workload, *cells)
-    report.add(ReportSection(
-        "Outcome grid", table=grid,
-        text="Matrix cells aggregated over seeds/repeats."))
-
-    trouble = [job for job in jobs
-               if job.get("status") != "done" or job.get("quarantined")
-               or int(job.get("attempts") or 1) > 1]
-    if trouble:
-        table = ReproducedTable(
-            "failures",
-            ("idx", "cell", "seed", "status", "attempts", "error"))
-        for job in trouble:
-            flags = " [quarantined]" if job.get("quarantined") else ""
-            error = str(job.get("error") or job.get("last_error") or "")
-            table.add_row(
-                job.get("idx"), f"{job.get('workload')}/{_sweep_column(job)}",
-                job.get("seed"), str(job.get("status")) + flags,
-                job.get("attempts") or 0, error)
-        report.add(ReportSection(
-            "Retries and quarantine", table=table,
-            text="Jobs that failed, timed out, were quarantined, or "
-                 "needed more than one attempt."))
-
-    if events:
-        from repro.sweep.telemetry import build_snapshot, render_snapshot
-
-        snap = build_snapshot(events)
-        report.add(ReportSection(
-            "Telemetry snapshot",
-            preformatted=render_snapshot(snap),
-            text=f"{len(events)} journal events."))
-        if snap.workers_state:
-            table = ReproducedTable(
-                "workers",
-                ("slot", "jobs", "busy_s", "utilization", "deaths",
-                 "hangs", "dispatch order"))
-            for slot in sorted(snap.workers_state):
-                state = snap.workers_state[slot]
-                util = (state.busy_s / snap.elapsed_s
-                        if snap.elapsed_s > 0 else 0.0)
-                sequence = " ".join(str(i) for i in state.job_indexes)
-                table.add_row(slot, state.jobs_done,
-                              f"{state.busy_s:.1f}", f"{util:.1%}",
-                              state.deaths, state.hangs, sequence)
-            report.add(ReportSection(
-                "Worker timeline", table=table,
-                text="Per-slot history from the journal (dispatch "
-                     "order lists matrix indexes)."))
-
-    if compare_document is not None:
-        report.add(ReportSection(
-            f"Trend vs {compare_label}",
-            table=sweep_trend_table(document, compare_document),
-            text="Headline metrics for matrix cells both sweeps "
-                 "recorded (matched by workload/controller/budget/"
-                 "seed/faults)."))
-
-    return report
-
-
-def sweep_trend_table(a: Mapping[str, object],
-                      b: Mapping[str, object]) -> ReproducedTable:
-    """The cross-sweep trend: headline metric deltas per shared cell."""
-    for document, label in ((a, "A"), (b, "B")):
-        if not isinstance(document.get("jobs"), list):
-            raise ConfigError(f"sweep document {label} has no jobs list")
-    results_b = {
-        _sweep_cell_key(job): job.get("result")
-        for job in b["jobs"]
-        if isinstance(job.get("result"), Mapping)
-    }
-    table = ReproducedTable(
-        "trend", ("cell", "metric", "A", "B", "delta", "relative"))
-    matched = 0
-    for job in a["jobs"]:
-        result_a = job.get("result")
-        if not isinstance(result_a, Mapping):
-            continue
-        result_b = results_b.get(_sweep_cell_key(job))
-        if result_b is None:
-            continue
-        matched += 1
-        cell = (f"{job.get('workload')}/{_sweep_column(job)} "
-                f"s{job.get('seed')}")
-        for name in SWEEP_TREND_FIELDS:
-            va, vb = result_a.get(name), result_b.get(name)
-            if not isinstance(va, (int, float)) \
-                    or not isinstance(vb, (int, float)):
-                continue
-            delta = float(vb) - float(va)
-            relative = f"{delta / va:+.2%}" if va else "n/a"
-            table.add_row(cell, name, format_value(float(va)),
-                          format_value(float(vb)), format_value(delta),
-                          relative)
-    if not matched:
-        table.add_row("(no shared cells)", "-", "-", "-", "-", "-")
-    return table
-
-
 def render_comparison(comparison: Mapping[str, object]) -> str:
     """Human-readable text for a :func:`compare_runs` result."""
     label_a = comparison["label_a"]

@@ -258,5 +258,5 @@ class FaultInjector:
 
 
 def plans_for_smoke(rate: float = 0.01) -> Sequence[FaultPlan]:
-    """One single-spec plan per fault kind (CI smoke coverage)."""
+    """One single-spec plan per fault kind (the per-kind smoke test)."""
     return [FaultPlan((FaultSpec(kind=kind, rate=rate),)) for kind in FAULT_KINDS]

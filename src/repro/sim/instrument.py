@@ -261,42 +261,6 @@ class MetricsRegistry:
                 reset()
 
 
-class JsonlAppender:
-    """An append-only, line-flushed JSONL sink.
-
-    The durability primitive shared by harness-level telemetry (the
-    sweep journal): the file is opened in append mode, every record is
-    one ``json.dumps`` line flushed immediately, so a concurrent reader
-    never sees a torn record and a crash loses at most the line being
-    written.  Contrast with
-    :class:`~repro.sim.tracing.TraceEventWriter`, which buffers
-    (``FLUSH_EVERY``) because simulation event volume is orders of
-    magnitude higher than scheduling event volume.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._handle = open(path, "a")
-
-    def append(self, record: Mapping[str, object]) -> None:
-        """Write one record line; no-op after :meth:`close`."""
-        if self._handle is None:
-            return
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JsonlAppender":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 class Probe:
     """A component's handle into the instrumentation layer.
 

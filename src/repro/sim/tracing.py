@@ -358,16 +358,12 @@ def perfetto_document(spans: Iterable[Span],
             "parent_id": span.parent_id,
         }
         args.update(span.args)
-        # Sweep-telemetry spans carry the pool slot that ran them; give
-        # each slot its own Perfetto thread row.  Simulation spans never
-        # set worker_slot, so their documents are unchanged.
-        slot = span.args.get("worker_slot")
         event: Dict[str, object] = {
             "name": span.name,
             "cat": span.category or "sim",
             "ts": span.start_ns / 1000.0,
             "pid": 1,
-            "tid": slot + 1 if isinstance(slot, int) and slot >= 0 else 1,
+            "tid": 1,
             "args": args,
         }
         if span.duration_ns > 0.0 or span.category in (

@@ -8,25 +8,23 @@ was measured.  This package replaces those loops with one engine:
   or the programmatic builder) with axes over workloads x controllers x
   budgets x seeds x fault plans, expanded into a deterministic job
   matrix with per-job derived seeds.
-- :mod:`repro.sweep.worker` -- single-job execution plus a
+- :mod:`repro.sweep.worker` -- single-job execution plus a supervised
   multiprocessing pool (fresh process-local state per worker, per-job
-  wall-clock watchdogs reusing the run supervisor's discipline).
+  wall-clock watchdogs reusing the run supervisor's discipline, dead
+  and hung workers replaced).
 - :mod:`repro.sweep.store` -- a schema-versioned SQLite result store
   (sweeps/jobs/metrics tables, engine/connection split) with a
   query/export surface behind ``repro sweep ls/show/export``.
 - :mod:`repro.sweep.engine` -- the orchestrator: registers the matrix,
   dispatches ready jobs (budget dependencies resolved from completed
-  results), records everything, and resumes killed sweeps by skipping
+  results), records everything, retries transient host failures (a
+  worker killed or hung, a store write that failed) and quarantines a
+  job that exhausts its retries, and resumes killed sweeps by skipping
   jobs already ``done``.
 - :mod:`repro.sweep.reduce` -- reductions from job rows back to the
   paper's figures (iso-capacity speedups, capacity curves).
-- :mod:`repro.sweep.chaos` -- deterministic host-fault injection
-  (worker SIGKILL, hangs, ENOSPC store writes, corrupted result rows)
-  driving the engine's retry/backoff/quarantine and heartbeat
-  supervision machinery.
 """
 
-from repro.sweep.chaos import ChaosPlan, ChaosSchedule, ChaosSpec
 from repro.sweep.engine import RetryPolicy, SweepRun, run_sweep
 from repro.sweep.spec import (
     BudgetSpec,
@@ -39,9 +37,6 @@ from repro.sweep.store import STORE_SCHEMA_VERSION, StoreEngine, SweepStore
 
 __all__ = [
     "BudgetSpec",
-    "ChaosPlan",
-    "ChaosSchedule",
-    "ChaosSpec",
     "ControllerSpec",
     "JobSpec",
     "RetryPolicy",

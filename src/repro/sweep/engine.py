@@ -26,22 +26,19 @@ backoff, deterministic jitter, capped); ``ConfigError`` and
 ``ModelInvariantError`` are permanent and fail fast.  A transient job
 that exhausts its retries is **quarantined** -- recorded terminal with
 the ``quarantined`` flag so the rest of the matrix completes and the
-CLI can report it distinctly.  A deterministic :class:`ChaosPlan`
-(:mod:`repro.sweep.chaos`) can inject exactly these host faults to
-prove the machinery end to end.
+CLI can report it distinctly.
 
 Determinism: scheduling never feeds back into simulation.  Every job's
 seed and configuration is fixed at expansion time, each job runs in a
 fresh simulator, and budget resolution depends only on the provider's
 (deterministic) result -- so ``-j 1`` and ``-j 8`` sweeps, killed-
-then-resumed sweeps, and chaos-ridden sweeps (for the rows that
-survive) produce row-identical stores (see
+then-resumed sweeps, and sweeps that retried a dead worker's job
+produce row-identical stores (see
 :meth:`~repro.sweep.store.SweepStore.fingerprint_rows`).
 """
 
 from __future__ import annotations
 
-import errno
 import hashlib
 import sqlite3
 import time
@@ -50,10 +47,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError, ResourceError, is_transient
 from repro.sim.results import SimResult
-from repro.sweep.chaos import ChaosPlan, ChaosSchedule
 from repro.sweep.spec import JobSpec, SweepSpec
 from repro.sweep.store import SweepStore
-from repro.sweep.telemetry import SweepJournal
 from repro.sweep.worker import WorkerPool, execute_job, result_digest
 
 #: Progress callback signature: (event, job, record_or_None).  Events:
@@ -177,9 +172,7 @@ def run_sweep(
     system=None,
     model=None,
     retry: Optional[RetryPolicy] = None,
-    chaos: Optional[ChaosPlan] = None,
     heartbeat_timeout_s: Optional[float] = None,
-    journal: Union[SweepJournal, str, bool, None] = None,
 ) -> SweepRun:
     """Run (or resume) a sweep; see the module docs for the phases.
 
@@ -188,18 +181,8 @@ def run_sweep(
     ``system`` / ``model`` let the experiment protocols inject pre-built
     objects; they are inline-only (``workers`` must be 1) because worker
     processes rebuild state from the job spec alone.  ``retry`` defaults
-    to :class:`RetryPolicy`'s defaults; ``chaos`` injects host faults
-    (pool-only: a chaos worker kill aimed at the inline path would kill
-    the orchestrator itself); ``heartbeat_timeout_s`` arms hung-worker
-    detection in the pool.
-
-    ``journal`` arms sweep telemetry: ``True`` writes to the store's
-    default journal path (:meth:`SweepStore.journal_path`; requires a
-    store), a string is an explicit path, an open :class:`SweepJournal`
-    is used as-is (and left open for the caller).  ``None`` -- the
-    default -- emits nothing and touches no files; result rows are
-    identical either way (the journal records host scheduling history,
-    never simulated quantities).
+    to :class:`RetryPolicy`'s defaults; ``heartbeat_timeout_s`` arms
+    hung-worker detection in the pool.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -211,21 +194,13 @@ def run_sweep(
     if workers > 1 and not capture_errors:
         raise ConfigError("capture_errors=False is inline-only; "
                           "use workers=1")
-    if chaos is not None and chaos and workers < 2:
-        raise ConfigError("chaos injection needs a worker pool; "
-                          "use workers >= 2")
     if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
         raise ConfigError(f"heartbeat timeout must be > 0 s, "
                           f"got {heartbeat_timeout_s}")
-    if journal is True and store is None:
-        raise ConfigError("journal=True derives its path from the store; "
-                          "pass a store or an explicit journal path")
     if retry is None:
         retry = RetryPolicy()
 
     jobs = spec.expand(known_workloads_only=workload_resolver is None)
-    chaos_schedule: Optional[ChaosSchedule] = (
-        chaos.resolve(len(jobs)) if chaos is not None and chaos else None)
     if isinstance(store, str):
         store = SweepStore.open(store)
 
@@ -237,23 +212,6 @@ def run_sweep(
             sweep_id, resumed = store.register_sweep(spec, jobs)
     else:
         sweep_id = f"{spec.name}-{spec.spec_hash()[:8]}"
-
-    # Telemetry: resolve the journal argument into an (optional) open
-    # SweepJournal.  Journals we open here we also close; a caller's
-    # journal object stays theirs.
-    owns_journal = False
-    if journal is True:
-        journal = SweepJournal(store.journal_path(sweep_id),
-                               sweep_id=sweep_id)
-        owns_journal = True
-    elif isinstance(journal, str):
-        journal = SweepJournal(journal, sweep_id=sweep_id)
-        owns_journal = True
-    jlog = journal.emit if isinstance(journal, SweepJournal) else None
-    if jlog is not None:
-        jlog("sweep_begin", sweep_id=sweep_id, name=spec.name,
-             spec_hash=spec.spec_hash(), total_jobs=len(jobs),
-             workers=workers, resumed=resumed)
 
     run = SweepRun(sweep_id=sweep_id, spec=spec, jobs=jobs, store=store,
                    resumed=resumed, skipped=0)
@@ -272,16 +230,10 @@ def run_sweep(
             run.skipped += 1
             if progress is not None:
                 progress("skip", job, None)
-            if jlog is not None:
-                jlog("job_skip", job_id=job.job_id, index=job.index,
-                     label=job.label(), status="done")
         elif statuses[job.job_id] in ("failed", "timeout"):
             run.skipped += 1
             if progress is not None:
                 progress("skip", job, None)
-            if jlog is not None:
-                jlog("job_skip", job_id=job.job_id, index=job.index,
-                     label=job.label(), status=statuses[job.job_id])
 
     todo = [job for job in jobs
             if statuses[job.job_id] not in ("done", "failed", "timeout")]
@@ -319,23 +271,14 @@ def run_sweep(
     def store_finish(job: JobSpec, record: dict,
                      quarantined: bool = False) -> None:
         """Persist a terminal outcome, riding out transient store I/O
-        failures (real ENOSPC, chaos ENOSPC, a locked database) with
-        the same backoff the jobs themselves get."""
+        failures (ENOSPC, a locked database) with the same backoff the
+        jobs themselves get."""
         if store is None:
             return
         write_attempt = 0
         while True:
             write_attempt += 1
             try:
-                if (chaos_schedule is not None
-                        and chaos_schedule.store_fault(job.index,
-                                                       write_attempt)):
-                    if jlog is not None:
-                        jlog("chaos_injected", job_id=job.job_id,
-                             index=job.index, attempt=write_attempt,
-                             chaos_kind="enospc", param=0.0)
-                    raise OSError(errno.ENOSPC,
-                                  "chaos: sweep store write failed")
                 store.finish_job(
                     job.job_id, record["status"],
                     elapsed_s=record.get("elapsed_s", 0.0),
@@ -350,9 +293,6 @@ def run_sweep(
                     raise ResourceError(
                         f"cannot record result for {job.label()!r} after "
                         f"{write_attempt} attempts: {error}") from error
-                if jlog is not None:
-                    jlog("store_retry", job_id=job.job_id,
-                         write_attempt=write_attempt, error=str(error))
                 time.sleep(retry.delay_s(job.job_id, write_attempt))
 
     def record_outcome(job: JobSpec, record: dict,
@@ -375,11 +315,6 @@ def run_sweep(
         store_finish(job, record, quarantined=quarantined)
         if progress is not None:
             progress("finish", job, record)
-        if jlog is not None:
-            jlog("job_finish", job_id=job.job_id, index=job.index,
-                 label=job.label(), attempt=attempts.get(job.job_id, 0),
-                 status=record["status"], quarantined=quarantined,
-                 elapsed_s=record.get("elapsed_s", 0.0))
 
     def verify_record(job: JobSpec, record: dict) -> dict:
         """Digest-check a pool record; corruption becomes a transient
@@ -414,15 +349,7 @@ def run_sweep(
             statuses[job.job_id] = "pending"
             if progress is not None:
                 progress("retry", job, record)
-            delay = retry.delay_s(job.job_id, attempt)
-            if jlog is not None:
-                jlog("job_retry", job_id=job.job_id, index=job.index,
-                     label=job.label(), attempt=attempt,
-                     error_kind=record.get("error_kind", ""),
-                     error_type=record.get("error_type", ""),
-                     error=record.get("error", ""),
-                     backoff_s=round(delay, 6))
-            return delay
+            return retry.delay_s(job.job_id, attempt)
         record_outcome(job, record, quarantined=transient)
         return None
 
@@ -444,59 +371,23 @@ def run_sweep(
         if progress is not None:
             progress("start", job, None)
 
-    def journal_start(job: JobSpec,
-                      worker_slot: Optional[int] = None) -> None:
-        """Journal a dispatched attempt -- after :func:`begin_attempt`
-        (the attempt counter must have ticked) and, on the pool path,
-        after submit (the slot is only known then).  Worker-side chaos
-        faults are journaled here, parent-side, from the deterministic
-        schedule: the faults themselves fire inside (or kill) the
-        child."""
-        if jlog is None:
-            return
-        attempt = attempts.get(job.job_id, 0)
-        jlog("job_start", job_id=job.job_id, index=job.index,
-             label=job.label(), attempt=attempt, worker_slot=worker_slot)
-        if chaos_schedule is not None:
-            for kind, param in chaos_schedule.events_for(job.index,
-                                                         attempt):
-                jlog("chaos_injected", job_id=job.job_id, index=job.index,
-                     attempt=attempt, chaos_kind=kind, param=param)
-
-    def pool_event(kind: str, fields: dict) -> None:
-        if jlog is not None:
-            jlog(kind, **fields)
-
     started = time.perf_counter()
     completed = False
     try:
         if workers == 1:
-            _run_inline(todo, statuses, ready, provider_dead, budget_for,
+            _run_inline(todo, ready, provider_dead, budget_for,
                         handle_outcome, fail_dependent, begin_attempt,
-                        journal_start, spec, capture_errors,
-                        workload_resolver, system, model)
+                        spec, capture_errors, workload_resolver, system,
+                        model)
         else:
-            _run_pool(todo, by_id, statuses, ready, provider_dead,
-                      budget_for, handle_outcome, fail_dependent,
-                      begin_attempt, journal_start, pool_event,
+            _run_pool(todo, by_id, ready, provider_dead, budget_for,
+                      handle_outcome, fail_dependent, begin_attempt,
                       verify_record, attempts, spec, workers,
-                      chaos_schedule, heartbeat_timeout_s)
+                      heartbeat_timeout_s)
         completed = True
     finally:
         run.elapsed_s = time.perf_counter() - started
         run.statuses = statuses
-        if jlog is not None:
-            try:
-                jlog("sweep_end",
-                     status=("interrupted" if not completed else
-                             "done" if all(s == "done"
-                                           for s in statuses.values())
-                             else "failed"),
-                     elapsed_s=round(run.elapsed_s, 3), counts=run.counts)
-                if owns_journal:
-                    journal.close()
-            except Exception:
-                pass  # telemetry must never mask the real outcome
         if store is not None:
             # Best-effort: the status row must not mask the original
             # failure when the store itself is what broke.
@@ -514,10 +405,9 @@ def run_sweep(
     return run
 
 
-def _run_inline(todo, statuses, ready, provider_dead, budget_for,
-                handle_outcome, fail_dependent, begin_attempt,
-                journal_start, spec, capture_errors, workload_resolver,
-                system, model) -> None:
+def _run_inline(todo, ready, provider_dead, budget_for, handle_outcome,
+                fail_dependent, begin_attempt, spec, capture_errors,
+                workload_resolver, system, model) -> None:
     """Single-process scheduling: matrix order, providers first;
     retries run in place after their backoff sleep."""
     pending = list(todo)
@@ -535,7 +425,6 @@ def _run_inline(todo, statuses, ready, provider_dead, budget_for,
             budget = budget_for(job)
             while True:
                 begin_attempt(job)
-                journal_start(job)
                 workload = (workload_resolver(job)
                             if workload_resolver is not None else None)
                 record = execute_job(
@@ -555,15 +444,12 @@ def _run_inline(todo, statuses, ready, provider_dead, budget_for,
                               f"providers for: {stuck}")
 
 
-def _run_pool(todo, by_id, statuses, ready, provider_dead, budget_for,
-              handle_outcome, fail_dependent, begin_attempt,
-              journal_start, pool_event, verify_record, attempts, spec,
-              workers, chaos_schedule, heartbeat_timeout_s) -> None:
+def _run_pool(todo, by_id, ready, provider_dead, budget_for,
+              handle_outcome, fail_dependent, begin_attempt, verify_record,
+              attempts, spec, workers, heartbeat_timeout_s) -> None:
     """Pool scheduling: keep every worker fed with ready jobs; retries
     rejoin the queue when their backoff expires."""
-    pool = WorkerPool(workers, chaos=chaos_schedule,
-                      heartbeat_timeout_s=heartbeat_timeout_s,
-                      on_event=pool_event)
+    pool = WorkerPool(workers, heartbeat_timeout_s=heartbeat_timeout_s)
     try:
         waiting = list(todo)
         retries: List[Tuple[float, JobSpec]] = []
@@ -571,9 +457,8 @@ def _run_pool(todo, by_id, statuses, ready, provider_dead, budget_for,
         def launch(job: JobSpec) -> None:
             budget = budget_for(job)
             begin_attempt(job)
-            slot = pool.submit(job, budget, spec.job_timeout_s,
-                               attempt=attempts[job.job_id])
-            journal_start(job, slot)
+            pool.submit(job, budget, spec.job_timeout_s,
+                        attempt=attempts[job.job_id])
 
         def dispatch_ready() -> None:
             nonlocal waiting

@@ -375,31 +375,8 @@ class SweepStore:
                      for key, value in headline.items()])
 
     # ------------------------------------------------------------------
-    # Telemetry surface
+    # Queries
     # ------------------------------------------------------------------
-
-    def journal_path(self, sweep_id: str) -> str:
-        """Where this sweep's telemetry journal lives: next to the
-        store, keyed by sweep id (which is spec-hash-stable, so a
-        resumed sweep appends to the same file).  In-memory stores have
-        no directory to put one in."""
-        return f"{self.path}.{sweep_id}.journal.jsonl"
-
-    def status_counts(self, sweep_id: str) -> Dict[str, int]:
-        """Aggregate job counts for the watch/show surfaces: one row
-        per status, plus ``quarantined`` (terminal rows that exhausted
-        their retries) -- a single GROUP BY, so a second process can
-        poll it cheaply under WAL while the sweep runs."""
-        with self.engine.connect() as conn:
-            rows = conn.execute(
-                "SELECT status, COUNT(*) AS n FROM jobs "
-                "WHERE sweep_id = ? GROUP BY status", (sweep_id,)).fetchall()
-            quarantined = conn.execute(
-                "SELECT COUNT(*) AS n FROM jobs WHERE sweep_id = ? "
-                "AND quarantined != 0", (sweep_id,)).fetchone()
-        counts = {row["status"]: row["n"] for row in rows}
-        counts["quarantined"] = quarantined["n"] if quarantined else 0
-        return counts
 
     def failure_rows(self, sweep_id: str) -> List[dict]:
         """The persisted failure/quarantine report: every job that is
@@ -412,10 +389,6 @@ class SweepStore:
                 "(status != 'done' OR quarantined != 0) ORDER BY idx",
                 (sweep_id,)).fetchall()
         return [dict(row) for row in rows]
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
 
     def list_sweeps(self) -> List[dict]:
         with self.engine.connect() as conn:

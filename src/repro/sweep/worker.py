@@ -26,7 +26,7 @@ status ``timeout`` rather than killed from outside mid-write.
 
 Host-fault resilience (the :class:`WorkerPool` below): each worker owns
 a private task queue, so the parent always knows which (job, attempt)
-a worker holds -- when a child dies (OOM killer, chaos SIGKILL) or its
+a worker holds -- when a child dies (OOM killer, external SIGKILL) or its
 heartbeat goes stale (hung child), the pool synthesizes a transient
 failure record for exactly that attempt, replaces the worker, and the
 engine's retry policy decides what happens next.  Result records carry
@@ -39,8 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
-import signal
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,7 +46,6 @@ from repro.common.errors import ResourceError, classify_error
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
 from repro.sim.results import SimResult
-from repro.sweep.chaos import ChaosSchedule
 from repro.sweep.spec import JobSpec
 from repro.workloads.trace import Workload
 
@@ -184,15 +181,12 @@ def execute_job(
 # The worker pool
 # ----------------------------------------------------------------------
 
-def _pool_main(slot, tasks, results, heartbeats,
-               chaos: Optional[ChaosSchedule]) -> None:
+def _pool_main(slot, tasks, results, heartbeats) -> None:
     """Worker-process loop: execute jobs until the ``None`` sentinel.
 
     ``heartbeats[slot]`` is the worker's liveness slot in the shared
     array; it is bumped on every dequeue and, via the supervisor's
-    watchdog stride, throughout each simulation.  Chaos faults that
-    target the worker side (self-SIGKILL, hang, result corruption) are
-    inflicted here, exactly where the real failures they model strike.
+    watchdog stride, throughout each simulation.
     """
 
     def beat() -> None:
@@ -206,25 +200,11 @@ def _pool_main(slot, tasks, results, heartbeats,
         job, budget_bytes, timeout_s, attempt = item
         beat()
         try:
-            action = (chaos.worker_action(job.index, attempt)
-                      if chaos is not None else None)
-            if action is not None:
-                kind, param = action
-                if kind == "worker_kill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                # ``hang``: go silent -- no heartbeats -- so the parent's
-                # staleness check, not this sleep, decides our fate.
-                time.sleep(param)
             record = execute_job(job, budget_bytes, timeout_s,
                                  heartbeat=beat)
             record["worker_slot"] = slot
             record["attempt"] = attempt
             record["result_digest"] = result_digest(record["result"])
-            if (chaos is not None and chaos.corrupts(job.index, attempt)
-                    and record["result"] is not None):
-                # Post-digest mutation: the engine's digest check must
-                # catch this, never the metrics tables.
-                record["result"].elapsed_ns += 1.0
             results.put(record)
         except BaseException as error:  # never wedge the dispatcher
             results.put({
@@ -244,13 +224,12 @@ def _pool_main(slot, tasks, results, heartbeats,
 class _WorkerHandle:
     """One worker process plus its private task queue and current job."""
 
-    def __init__(self, ctx, slot: int, results, heartbeats,
-                 chaos: Optional[ChaosSchedule]) -> None:
+    def __init__(self, ctx, slot: int, results, heartbeats) -> None:
         self.slot = slot
         self.tasks = ctx.Queue()
         self.proc = ctx.Process(
             target=_pool_main,
-            args=(slot, self.tasks, results, heartbeats, chaos),
+            args=(slot, self.tasks, results, heartbeats),
             daemon=True)
         #: (job, budget_bytes, attempt, submitted_at) while busy.
         self.current: Optional[Tuple[JobSpec, Optional[int], int,
@@ -280,7 +259,7 @@ class WorkerPool:
     where fork is unavailable (workers then rebuild their caches on
     first use).
 
-    Supervision: a worker found dead mid-job (OOM killer, chaos
+    Supervision: a worker found dead mid-job (OOM killer, external
     SIGKILL) or heartbeat-stale past ``heartbeat_timeout_s`` (hung) is
     killed and replaced -- with a *fresh* task queue, so a half-fed
     queue can never replay a job -- and the pool synthesizes a
@@ -292,10 +271,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int,
-                 chaos: Optional[ChaosSchedule] = None,
-                 heartbeat_timeout_s: Optional[float] = None,
-                 on_event: Optional[Callable[[str, dict], None]] = None,
-                 ) -> None:
+                 heartbeat_timeout_s: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
@@ -306,30 +282,13 @@ class WorkerPool:
             "fork" if "fork" in methods else "spawn")
         self._results = self._ctx.Queue()
         self._heartbeats = self._ctx.Array("d", workers, lock=False)
-        self._chaos = chaos
         self._heartbeat_timeout_s = heartbeat_timeout_s
-        #: Supervision telemetry hook: called as ``on_event(kind,
-        #: fields)`` for worker_spawn/worker_death/worker_hung/
-        #: worker_respawn.  Must never raise into the dispatcher; the
-        #: pool wraps it accordingly.
-        self._on_event = on_event
         self._respawns = 0
         self._max_respawns = 32 + 4 * workers
         self._handles: List[_WorkerHandle] = [
-            _WorkerHandle(self._ctx, slot, self._results, self._heartbeats,
-                          chaos)
+            _WorkerHandle(self._ctx, slot, self._results, self._heartbeats)
             for slot in range(workers)
         ]
-        for slot in range(workers):
-            self._emit("worker_spawn", worker_slot=slot)
-
-    def _emit(self, kind: str, **fields: object) -> None:
-        if self._on_event is None:
-            return
-        try:
-            self._on_event(kind, fields)
-        except Exception:
-            pass  # telemetry must never take down supervision
 
     @property
     def inflight(self) -> int:
@@ -340,9 +299,8 @@ class WorkerPool:
         return any(not handle.busy for handle in self._handles)
 
     def submit(self, job: JobSpec, budget_bytes: Optional[int],
-               timeout_s: Optional[float], attempt: int = 1) -> int:
-        """Dispatch a job to an idle worker; returns the slot it landed
-        on (the engine journals dispatch with it)."""
+               timeout_s: Optional[float], attempt: int = 1) -> None:
+        """Dispatch a job to an idle worker."""
         handle = self._idle_handle()
         if handle is None:
             raise RuntimeError("no idle worker to submit to")
@@ -350,7 +308,6 @@ class WorkerPool:
         self._heartbeats[handle.slot] = now
         handle.current = (job, budget_bytes, attempt, now)
         handle.tasks.put((job, budget_bytes, timeout_s, attempt))
-        return handle.slot
 
     def _idle_handle(self) -> Optional[_WorkerHandle]:
         for handle in self._handles:
@@ -375,9 +332,7 @@ class WorkerPool:
         handle.proc.join(timeout=5.0)
         handle.drop_queue()
         self._handles[handle.slot] = _WorkerHandle(
-            self._ctx, handle.slot, self._results, self._heartbeats,
-            self._chaos)
-        self._emit("worker_respawn", worker_slot=handle.slot)
+            self._ctx, handle.slot, self._results, self._heartbeats)
 
     def _failure_record(self, handle: _WorkerHandle, error: str,
                         error_type: str) -> dict:
@@ -409,8 +364,6 @@ class WorkerPool:
                     handle,
                     f"sweep worker died mid-job (exit code {exitcode})",
                     "WorkerDied")
-                self._emit("worker_death", worker_slot=handle.slot,
-                           job_id=record["job_id"], exitcode=exitcode)
                 handle.proc.join(timeout=1.0)
                 handle.current = None
                 self._replace(handle)
@@ -422,9 +375,6 @@ class WorkerPool:
                         handle,
                         f"sweep worker hung (no heartbeat for "
                         f"{stale_s:.1f} s)", "WorkerHung")
-                    self._emit("worker_hung", worker_slot=handle.slot,
-                               job_id=record["job_id"],
-                               stale_s=round(stale_s, 3))
                     handle.current = None
                     self._replace(handle)
                     return record

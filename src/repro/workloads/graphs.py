@@ -289,7 +289,7 @@ def _connected_components(g: CSRGraph, t: _TraceBuilder,
                           rng: DeterministicRNG) -> None:
     v = g.num_vertices
     bounds = g.bounds
-    labels = list(range(v))
+    labels = array("i", range(v))
     while True:
         for vertex in _sweep_order(v, rng):
             t.prop_a(vertex)

@@ -62,46 +62,6 @@ def test_histogram_basic():
     assert histogram.count == 4
     assert histogram.total == 100
     assert histogram.mean == 25
-    assert histogram.percentile(0.5) == 20
-    assert histogram.percentile(1.0) == 40
-    assert histogram.percentile(0.0) == 10
-
-
-def test_histogram_percentile_validation():
-    histogram = Histogram("x")
-    histogram.record(1)
-    with pytest.raises(ValueError):
-        histogram.percentile(1.5)
-    with pytest.raises(ValueError):
-        histogram.percentile(-0.01)
-
-
-def test_histogram_percentile_empty():
-    histogram = Histogram("empty")
-    assert histogram.percentile(0.0) == 0.0
-    assert histogram.percentile(0.5) == 0.0
-    assert histogram.percentile(1.0) == 0.0
-    assert histogram.mean == 0.0
-    # A bad fraction is a caller bug -- it raises even with no samples.
-    with pytest.raises(ValueError):
-        histogram.percentile(2.0)
-
-
-def test_histogram_percentile_single_sample():
-    histogram = Histogram("one")
-    histogram.record(42.0)
-    for fraction in (0.0, 0.25, 0.5, 0.99, 1.0):
-        assert histogram.percentile(fraction) == 42.0
-
-
-def test_histogram_percentile_two_samples():
-    histogram = Histogram("two")
-    histogram.record(10.0)
-    histogram.record(20.0)
-    assert histogram.percentile(0.0) == 10.0
-    assert histogram.percentile(0.5) == 10.0
-    assert histogram.percentile(0.51) == 20.0
-    assert histogram.percentile(1.0) == 20.0
 
 
 def test_stat_group_registry_and_dump():

@@ -294,15 +294,18 @@ def test_dormant_fault_plan_is_bit_identical_to_baseline():
 
 
 def test_every_fault_kind_smokes_on_every_controller():
-    """CI's smoke matrix in miniature: each fault kind on each registered
-    controller, short runs, no exceptions allowed."""
+    """Each fault kind on each registered controller, short runs, no
+    exceptions allowed.  The plans are the ones `repro run --faults
+    <kind>:0.05` builds."""
     from repro.core import available_controllers
-    from repro.sim.faults import plans_for_smoke
+    from repro.sim.faults import FAULT_KINDS, FaultPlan, plans_for_smoke
     from repro.sim.simulator import Simulator
     from repro.workloads.suite import workload_by_name
 
+    plans = plans_for_smoke(rate=0.05)
+    assert plans == [FaultPlan.parse(f"{kind}:0.05") for kind in FAULT_KINDS]
     for controller in available_controllers():
-        for plan in plans_for_smoke(rate=0.05):
+        for plan in plans:
             workload = workload_by_name("omnetpp", max_accesses=2000,
                                         scale=0.05)
             sim = Simulator(workload, controller=controller, seed=2,

@@ -116,24 +116,17 @@ def test_sweep_robustness_flag_validation(tmp_path, capsys):
     assert main(["sweep", "run", "smoke", "--store", store,
                  "--heartbeat-timeout", "0"]) == 2
     assert "--heartbeat-timeout" in capsys.readouterr().err
-    assert main(["sweep", "run", "smoke", "--store", store,
-                 "--chaos", "worker_kill:1"]) == 2
-    assert "-j 2" in capsys.readouterr().err
-    assert main(["sweep", "run", "smoke", "--store", store, "-j", "2",
-                 "--chaos", "worker_kill:1", "--no-chaos"]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
-    assert main(["sweep", "run", "smoke", "--store", store, "-j", "2",
-                 "--chaos", "explode:1"]) == 2
-    assert "unknown chaos kind" in capsys.readouterr().err
 
 
-def test_sweep_quarantine_exit_code_and_report(tmp_path, capsys):
-    """An unkillable chaos fault: exit 4, a quarantine report on
-    stderr, and `sweep show` flagging the cell."""
+def test_sweep_quarantine_exit_code_and_report(tmp_path, capsys,
+                                               kill_worker_on_job):
+    """A worker death every attempt hits: exit 4, a quarantine report
+    on stderr, and `sweep show` flagging the cell."""
     spec = write_spec(tmp_path)
     store = str(tmp_path / "s.db")
+    kill_worker_on_job(0)
     code = main(["sweep", "run", spec, "--store", store, "-j", "2",
-                 "--chaos", "worker_kill:9@0", "--max-retries", "1"])
+                 "--max-retries", "1"])
     captured = capsys.readouterr()
     assert code == 4
     assert "quarantined" in captured.out
@@ -158,6 +151,23 @@ def test_sweep_show_reports_attempts(tmp_path, capsys):
     done = [line for line in out.splitlines() if " done " in line]
     assert done and all("   1 " in line for line in done)
     assert "[quarantined]" not in out
+
+
+def test_sweep_export_failures(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    store = str(tmp_path / "s.db")
+    assert main(["sweep", "run", spec, "--store", store]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "export", "clismoke", "--store", store,
+                 "--failures"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["schema"] == "repro-sweep-failures/1"
+    assert document["failures"] == []  # clean sweep
+
+    assert main(["sweep", "export", "clismoke", "--store", store,
+                 "--failures", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("idx,job_id,workload,")
 
 
 def test_sweep_repair_command(tmp_path, capsys):

@@ -8,6 +8,7 @@ every assertion is against genuine end-to-end rows.
 import os
 import signal
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -291,7 +292,7 @@ def test_retry_delay_is_deterministic_and_capped():
 
 
 # ----------------------------------------------------------------------
-# WorkerPool supervision (external SIGKILL, not chaos)
+# WorkerPool supervision (external signals, real faults)
 # ----------------------------------------------------------------------
 
 def busy_job():
@@ -350,6 +351,103 @@ def test_pool_respawns_dead_idle_worker_on_submit():
         assert pool.next_result()["status"] == "done"
     finally:
         pool.close()
+
+
+def test_hung_worker_is_replaced_and_job_retried():
+    """SIGSTOP a worker mid-job: once its heartbeat is older than the
+    timeout the pool must kill it, synthesize a transient failure for
+    that attempt, respawn the slot, and complete the job's retry."""
+    pool = WorkerPool(2, heartbeat_timeout_s=1.0)
+    try:
+        job = busy_job()
+        pool.submit(job, None, None, attempt=1)
+        victim = busy_worker(pool)
+        os.kill(victim.proc.pid, signal.SIGSTOP)
+        # Should the pool never act, kill the victim later so the test
+        # fails on the record below instead of waiting forever.
+        backstop = threading.Timer(30.0, os.kill,
+                                   (victim.proc.pid, signal.SIGKILL))
+        backstop.start()
+        try:
+            record = pool.next_result()
+        finally:
+            backstop.cancel()
+        assert record["status"] == "failed"
+        assert record["error_type"] == "WorkerHung"
+        assert record["error_kind"] == "resource"
+        assert record["attempt"] == 1 and record["job_id"] == job.job_id
+        # The pool, not the backstop, killed the stopped worker.
+        assert victim.proc.exitcode == -signal.SIGKILL
+        replacement = pool._handles[victim.slot]
+        assert replacement is not victim and replacement.proc.is_alive()
+        pool.submit(job, None, None, attempt=2)
+        retried = pool.next_result()
+        assert retried["status"] == "done" and retried["attempt"] == 2
+    finally:
+        pool.close()
+
+
+def test_corrupt_row_never_reaches_the_store(tmp_path, monkeypatch):
+    """A result changed after its worker digested it is retried as
+    ``CorruptResult``; only the recomputed, good row is stored."""
+    from repro.sweep import worker
+
+    spec = tiny_spec(workloads=("mcf",))
+    control = run_sweep(spec, store=str(tmp_path / "control.db"))
+    marker = str(tmp_path / "corrupted")
+    real_digest = worker.result_digest
+
+    def corrupting_digest(result):
+        digest = real_digest(result)
+        try:  # the first record any worker sends is corrupted in flight
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return digest
+        result.elapsed_ns += 1.0
+        return digest
+
+    # Forked workers inherit the patch; the engine checks digests with
+    # its own reference to the real function.
+    monkeypatch.setattr(worker, "result_digest", corrupting_digest)
+    events = []
+    run = run_sweep(
+        spec, store=str(tmp_path / "s.db"), workers=2, retry=FAST_RETRY,
+        progress=lambda event, job, record: events.append((event, record)))
+    assert run.ok and not run.quarantined
+    retried = [record for event, record in events if event == "retry"]
+    assert [record["error_type"] for record in retried] == ["CorruptResult"]
+    for row in run.store.jobs(run.sweep_id):
+        assert row["status"] == "done" and not row["quarantined"]
+    assert run.store.fingerprint_rows(run.sweep_id) == \
+        control.store.fingerprint_rows(control.sweep_id)
+
+
+def test_exhausted_retries_quarantine_not_abort(tmp_path,
+                                                kill_worker_on_job):
+    """A worker death every attempt hits quarantines its job; the rest
+    of the matrix completes, and a resume skips the quarantined cell."""
+    spec = tiny_spec()
+    path = str(tmp_path / "s.db")
+    kill_worker_on_job(0)
+    run = run_sweep(
+        spec, store=path, workers=2,
+        retry=RetryPolicy(max_retries=1, backoff_s=0.01,
+                          backoff_cap_s=0.05))
+    victim = run.jobs[0]
+    assert not run.ok
+    assert list(run.quarantined) == [victim.job_id]
+    assert run.quarantined[victim.job_id]["attempts"] == 2
+    assert run.quarantined[victim.job_id]["error_type"] == "WorkerDied"
+    assert run.statuses[victim.job_id] == "failed"
+    # The other independent cells still completed.
+    assert run.statuses[run.jobs[2].job_id] == "done"
+    row = next(job for job in run.store.jobs(run.sweep_id)
+               if job["job_id"] == victim.job_id)
+    assert row["quarantined"] == 1 and row["attempts"] == 2
+
+    resumed = run_sweep(spec, store=path, workers=2)
+    assert resumed.resumed and resumed.skipped == len(spec.expand())
+    assert not resumed.quarantined  # nothing re-ran, nothing new
 
 
 def test_sweep_completes_through_external_worker_death(tmp_path):

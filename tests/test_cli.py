@@ -211,6 +211,7 @@ def test_run_with_faults_reports_resilience_metrics(capsys):
     assert main(RUN_SMALL + ["--faults", "dram_read_error:0.02:2",
                              "--emit-json"]) == 0
     record = json.loads(capsys.readouterr().out)
+    assert record["accesses"] > 0 and not record.get("truncated")
     assert record["metrics"]["resilience.faults_injected"] > 0
     assert record["metrics"]["resilience.dram_retries"] > 0
     assert "resilience" in record["metrics_tree"]

@@ -9,14 +9,12 @@ from repro.reporting import (
     Report,
     ReproducedTable,
     build_run_report,
-    build_sweep_report,
     compare_runs,
     format_value,
     load_run_document,
     render_comparison,
     render_table,
     sparkline,
-    sweep_trend_table,
 )
 
 
@@ -205,65 +203,6 @@ def test_compare_runs_zero_baseline_relative_is_na():
 def test_compare_runs_schema_mismatch_raises():
     with pytest.raises(ConfigError, match="B is not a run document"):
         compare_runs(_run_document(), {"workload": "w"})
-
-
-# ----------------------------------------------------------------------
-# Sweep reports
-# ----------------------------------------------------------------------
-
-def _sweep_job(idx, controller, budget="none", seed=1, status="done",
-               attempts=1, quarantined=0, performance=10.0, error=None):
-    result = None
-    if status == "done" and not quarantined:
-        result = {"performance": performance, "compression_ratio": 1.1,
-                  "avg_l3_miss_latency_ns": 60.0}
-    return {"idx": idx, "job_id": f"j{idx}", "workload": "mcf",
-            "controller": controller, "budget": budget, "seed": seed,
-            "faults": "", "status": status, "attempts": attempts,
-            "quarantined": quarantined, "error": error,
-            "last_error": error, "result": result}
-
-
-def _sweep_document(jobs, sweep_id="sw-a"):
-    return {"schema": "repro-sweep/2",
-            "sweep": {"sweep_id": sweep_id, "name": "t", "spec_hash": "h",
-                      "status": "done", "created_at": "now"},
-            "spec": {}, "jobs": jobs}
-
-
-def test_build_sweep_report_grid_and_failures():
-    document = _sweep_document([
-        _sweep_job(0, "compresso"),
-        _sweep_job(1, "tmcc", budget="iso", status="failed", attempts=3,
-                   quarantined=1, error="kept dying"),
-    ])
-    text = build_sweep_report(document).to_markdown()
-    assert "# Sweep report: sw-a" in text
-    assert "## Outcome grid" in text
-    assert "| mcf | ok | 1 FAIL, 1 QUAR |" in text
-    assert "## Retries and quarantine" in text
-    assert "kept dying" in text
-    assert "failed [quarantined]" in text
-
-
-def test_build_sweep_report_rejects_non_sweep_document():
-    with pytest.raises(ConfigError, match="not a sweep export document"):
-        build_sweep_report({"workload": "mcf"})
-
-
-def test_sweep_trend_matches_cells_by_coordinates():
-    a = _sweep_document([_sweep_job(0, "tmcc", budget="iso",
-                                    performance=10.0)])
-    b = _sweep_document([_sweep_job(7, "tmcc", budget="iso",
-                                    performance=12.0)], sweep_id="sw-b")
-    text = build_sweep_report(a, compare_document=b,
-                              compare_label="sw-b").to_markdown()
-    assert "## Trend vs sw-b" in text
-    assert "+20.00%" in text
-
-    disjoint = _sweep_document([_sweep_job(0, "nothere")], sweep_id="sw-c")
-    table = sweep_trend_table(a, disjoint)
-    assert table.rows[0][0] == "(no shared cells)"
 
 
 def test_build_run_report_embeds_bench_history():

@@ -68,14 +68,16 @@ def test_graph_determinism():
 def test_graph_workload_allocates_no_edge_column():
     """A full-size graph workload draws the targets it reads: its whole
     build stays below the 19 MB an int32 column of the graph's 5.02M
-    edge targets would take alone."""
-    tracemalloc.start()
-    try:
-        graph_workload("pageRank", max_accesses=60_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    edge targets would take alone.  connComp keeps one label per
+    vertex, so that column must be compact too."""
+    for kernel in ("pageRank", "connComp"):
+        tracemalloc.start()
+        try:
+            graph_workload(kernel, max_accesses=60_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, kernel
 
 
 def test_power_law_rejects_vertex_ids_past_int32():

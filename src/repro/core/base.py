@@ -13,7 +13,7 @@ from itertools import chain, count
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.common.registry import Registry
-from repro.common.stats import StatGroup
+from repro.common.stats import Histogram, StatGroup
 from repro.common.units import BLOCK_SIZE, PAGE_SIZE
 from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
@@ -96,7 +96,7 @@ class MemoryController:
         #: on first use (see _finish).
         self._l3_counter = self.stats.counter("l3_misses")
         self._counters: Dict[str, object] = {}
-        self._miss_samples: Optional[list] = None
+        self._miss_latencies: Optional[Histogram] = None
 
     def attach_instrumentation(self, probe) -> None:
         """Adopt a context-provided :class:`~repro.sim.instrument.Probe`.
@@ -256,9 +256,9 @@ class MemoryController:
     # Stat sinks are bound lazily on first use, so stat keys are created
     # in the order the service first touches them (creation order is
     # observable in ``as_dict``).  Path counters are bound under their
-    # path label, other counters under their stat name.  Counters/histograms reset in place
-    # (identity survives ``_reset_stats``), so the bound objects and
-    # sample lists stay valid across the warm-up boundary.
+    # path label, other counters under their stat name.  Counters and
+    # histograms reset in place (identity survives ``_reset_stats``), so
+    # the bound objects stay valid across the warm-up boundary.
 
     def _count(self, name: str) -> None:
         """Increment the controller counter ``name`` via a bound sink."""
@@ -284,11 +284,12 @@ class MemoryController:
                     _PATH_COUNTER_KEY[path])
             counter.value += 1
         self.stage_accounting.record(path, spans, total_ns)
-        samples = self._miss_samples
-        if samples is None:
-            samples = self._miss_samples = self.stats.histogram(
-                "miss_latency_ns").samples
-        samples.append(total_ns)
+        latencies = self._miss_latencies
+        if latencies is None:
+            latencies = self._miss_latencies = self.stats.histogram(
+                "miss_latency_ns")
+        latencies.count += 1
+        latencies.total += total_ns
         probe = self._probe
         if probe is not None and probe.bus.active:
             self._emit_miss(probe, path, spans, total_ns, ppn, count_path)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.stats import StatGroup
+from repro.common.stats import Histogram, StatGroup
 
 #: One stage of one miss: ``(name, start_ns, latency_ns, critical,
 #: wasted, slack_ns)``.
@@ -157,24 +157,25 @@ class StageAccounting:
     """
 
     def __init__(self, histograms: StatGroup) -> None:
-        #: path -> stage name -> (its StageTotals, its sample lists in
-        #: ``_samples``): what one span updates, behind one lookup.
+        #: path -> stage name -> (its StageTotals, its histograms in
+        #: ``_bound_histograms``): what one span updates, behind one
+        #: lookup.
         self._paths: Dict[str, Dict[str, Tuple[StageTotals, list]]] = {}
         self._path_total_ns: Dict[str, float] = {}
         self._path_count: Dict[str, int] = {}
         self.histograms = histograms
-        #: stage name -> [``.ns``, ``.wasted_ns``, ``.slack_ns``] sample
-        #: lists, each bound on first use (histogram creation order is
-        #: observable).  Histograms reset in place, so the lists stay
-        #: valid across resets.
-        self._samples: Dict[str, list] = {}
+        #: stage name -> its [``.ns``, ``.wasted_ns``, ``.slack_ns``]
+        #: histograms, each bound on first use (histogram creation order
+        #: is observable).  Histograms reset in place, so the bindings
+        #: stay valid across resets.
+        self._bound_histograms: Dict[str, list] = {}
 
     def record(self, path: str, spans: Sequence[SpanTuple],
                total_ns: float) -> None:
         """Fold one miss (its span tuples and latency) into ``path``.
 
-        Runs once per LLC miss, so histograms are reached through bound
-        sample lists.
+        Runs once per LLC miss, so histograms are bound once and updated
+        in place.
         """
         stages = self._paths.get(path)
         if stages is None:
@@ -188,35 +189,41 @@ class StageAccounting:
             totals.total_ns += latency_ns
             if critical:
                 totals.critical_ns += latency_ns
-            bound[0].append(latency_ns)
+            histogram = bound[0]
+            histogram.count += 1
+            histogram.total += latency_ns
             if slack_ns:
                 totals.slack_ns += slack_ns
             if wasted:
                 totals.wasted_ns += latency_ns
-                self._bind(bound, 1, name, "wasted_ns").append(latency_ns)
+                histogram = self._bind(bound, 1, name, "wasted_ns")
+                histogram.count += 1
+                histogram.total += latency_ns
             elif slack_ns:
-                self._bind(bound, 2, name, "slack_ns").append(slack_ns)
+                histogram = self._bind(bound, 2, name, "slack_ns")
+                histogram.count += 1
+                histogram.total += slack_ns
         path_total = self._path_total_ns
         path_total[path] = path_total.get(path, 0.0) + total_ns
         path_count = self._path_count
         path_count[path] = path_count.get(path, 0) + 1
 
     def _bound(self, name: str) -> list:
-        """``name``'s sample lists, first binding histogram
-        ``<name>.ns``."""
-        bound = self._samples.get(name)
+        """``name``'s histograms, first binding ``<name>.ns``."""
+        bound = self._bound_histograms.get(name)
         if bound is None:
-            bound = self._samples[name] = [
-                self.histograms.histogram(f"{name}.ns").samples, None, None]
+            bound = self._bound_histograms[name] = [
+                self.histograms.histogram(f"{name}.ns"), None, None]
         return bound
 
-    def _bind(self, bound: list, index: int, name: str, suffix: str) -> list:
+    def _bind(self, bound: list, index: int, name: str,
+              suffix: str) -> Histogram:
         """``bound[index]``, first binding histogram ``<name>.<suffix>``."""
-        samples = bound[index]
-        if samples is None:
-            samples = bound[index] = self.histograms.histogram(
-                f"{name}.{suffix}").samples
-        return samples
+        histogram = bound[index]
+        if histogram is None:
+            histogram = bound[index] = self.histograms.histogram(
+                f"{name}.{suffix}")
+        return histogram
 
     # -- reading -------------------------------------------------------
 

@@ -247,7 +247,8 @@ class DRAMSystem:
         row_buffer.total += 1
         if row_hit:
             row_buffer.hits += 1
-        latency_hist.samples.append(latency)
+        latency_hist.count += 1
+        latency_hist.total += latency
         counter = self._busy_counters.get(channel_index)
         if counter is None:
             counter = self._busy_counter(channel_index)

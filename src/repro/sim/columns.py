@@ -1,4 +1,4 @@
-"""Virtual-address decomposition for the replay loop.
+"""Virtual-address decomposition for the replay loops.
 
 One access record ``(vaddr, is_write)`` splits into:
 
@@ -6,32 +6,37 @@ One access record ``(vaddr, is_write)`` splits into:
 - ``tag`` -- the TLB tag: the vpn itself for 4 KB pages, or the
   2 MiB-aligned vpn (``vpn >> 9`` == ``vaddr >> 21``) for huge pages;
 - ``block_index`` -- the 64 B block within the page,
-  ``(vaddr & 0xFFF) >> 6``.
+  ``(vaddr & 0xFFF) >> 6``;
+- the global block -- ``ppn * 64 + block_index`` through the address
+  space's translation, or -1 where the vpn is unmapped.
 
 :func:`decompose_vaddr` spells the split for one access;
-:func:`trace_columns` splits a whole :class:`~repro.workloads.trace.Trace`
-into columns for the replay loop's front-end pass, and
-:func:`global_blocks` translates them to physical blocks.  Both
-spellings of the split are defined here, side by side, so they cannot
-drift apart.
+:func:`trace_columns` splits a span of a
+:class:`~repro.workloads.trace.Trace` at once, for both replay engines,
+and translates it through a :func:`translation_table`.  Both spellings
+of the split are defined here, side by side, so they cannot drift apart.
 
-The columns are compact: ``array('q')`` vpns, tags and global blocks
-(8 B per access each) and a ``bytearray`` of block indices.  numpy fills
-them in place from the trace's address column, in chunks where it needs
-scratch space, so building them makes no full-length temporary.
+The replay loops ask for one span of a few thousand accesses at a time,
+so no column is ever as long as the trace: numpy derives each span's
+vpns, tags and global blocks from the trace's own address column, and
+the loops read them as lists (indexing an ``array`` would make an int
+per read anyway).
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.workloads.trace import Trace
 
-#: Accesses per chunk of numpy scratch space (512 KB per int64 array).
-_CHUNK = 1 << 16
+
+class TranslationTable(NamedTuple):
+    """An address space's translation as sorted int64 columns."""
+
+    keys: np.ndarray  # the mapped vpns, sorted
+    ppns: np.ndarray  # their ppns
 
 
 def decompose_vaddr(vaddr: int, huge_pages: bool) -> Tuple[int, int, int]:
@@ -40,66 +45,39 @@ def decompose_vaddr(vaddr: int, huge_pages: bool) -> Tuple[int, int, int]:
     return vpn, (vpn >> 9) if huge_pages else vpn, (vaddr & 0xFFF) >> 6
 
 
-def trace_columns(
-    trace: Trace, huge_pages: bool,
-) -> Tuple[array, array, bytearray, bytearray]:
-    """Split a trace into ``(vpns, tags, block_indices, writes)``.
-
-    Without huge pages the tag column is the vpn column; ``writes`` is
-    the trace's own write column (1 for a write), not a copy.
-    """
-    count = len(trace)
-    addresses = np.frombuffer(trace.addresses, dtype=np.uint64)
-    vpns = _filled("q", 0, count)
-    np.right_shift(addresses, 12, out=np.frombuffer(vpns, dtype=np.int64),
-                   casting="unsafe")
-    tags = vpns
-    if huge_pages:
-        tags = _filled("q", 0, count)
-        np.right_shift(addresses, 21, out=np.frombuffer(tags, dtype=np.int64),
-                       casting="unsafe")
-    blocks = bytearray(count)
-    view = np.frombuffer(blocks, dtype=np.uint8)
-    np.right_shift(addresses, 6, out=view, casting="unsafe")  # keeps 8 bits
-    np.bitwise_and(view, 63, out=view)
-    return vpns, tags, blocks, trace.writes
-
-
-def global_blocks(vpns: array, blocks: bytearray,
-                  translation: Dict[int, int]) -> array:
-    """Each access's global block, ``ppn * 64 + block index`` through
-    ``translation`` (vpn -> ppn), or -1 where the vpn is unmapped.
-
-    Every mapped page is translated once, into a sorted table that each
-    chunk of accesses is looked up in.
-    """
-    count = len(vpns)
-    out = _filled("q", -1, count)
-    if not count or not translation:
-        return out
+def translation_table(translation: Dict[int, int]) -> TranslationTable:
+    """``translation`` (vpn -> ppn) as sorted int64 columns, built once
+    per run and searched by every span."""
     keys = np.fromiter(translation, dtype=np.int64, count=len(translation))
     ppns = np.fromiter(translation.values(), dtype=np.int64,
                        count=len(translation))
     order = np.argsort(keys)
-    keys = keys[order]
-    ppns = ppns[order]
-    last = len(keys) - 1
-    vpn_view = np.frombuffer(vpns, dtype=np.int64)
-    block_view = np.frombuffer(blocks, dtype=np.uint8)
-    out_view = np.frombuffer(out, dtype=np.int64)
-    for start in range(0, count, _CHUNK):
-        stop = start + _CHUNK
-        vpn = vpn_view[start:stop]
-        slot = np.searchsorted(keys, vpn)
-        np.minimum(slot, last, out=slot)
-        mapped = keys[slot] == vpn
-        block = ppns[slot]
-        block *= 64
-        block += block_view[start:stop]
-        np.copyto(out_view[start:stop], block, where=mapped)
-    return out
+    return TranslationTable(keys[order], ppns[order])
 
 
-def _filled(typecode: str, value: int, count: int) -> array:
-    """An ``array`` of ``count`` copies of ``value``, allocated once."""
-    return array(typecode, [value]) * count
+def trace_columns(
+    trace: Trace, huge_pages: bool, table: TranslationTable,
+    start: int = 0, stop: Optional[int] = None, stride: int = 1,
+) -> Tuple[List[int], List[int], List[int]]:
+    """Accesses ``start, start + stride, ...`` below ``stop`` split into
+    ``(vpns, tags, global blocks)`` lists, translated through ``table``.
+
+    Without huge pages the tag list is the vpn list.
+    """
+    addresses = np.frombuffer(trace.addresses,
+                              dtype=np.uint64)[start:stop:stride]
+    # Below 2**52 after the shift, so the int64 view is exact.
+    vpns = (addresses >> 12).view(np.int64)
+    keys, ppns = table
+    if len(keys):
+        slot = np.searchsorted(keys, vpns)
+        np.minimum(slot, len(keys) - 1, out=slot)
+        blocks = ppns[slot]
+        blocks *= 64
+        blocks += (addresses >> 6).view(np.int64) & 63
+        blocks[keys[slot] != vpns] = -1
+    else:
+        blocks = np.full(len(vpns), -1, dtype=np.int64)
+    vpn_list = vpns.tolist()
+    tags = (vpns >> 9).tolist() if huge_pages else vpn_list
+    return vpn_list, tags, blocks.tolist()

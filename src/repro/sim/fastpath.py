@@ -12,12 +12,11 @@ so an unobserved run pays nothing for them.
   and for each ``_EVENTS`` access its ops in issue order -- cache hit
   levels, LLC-miss blocks, dirty writebacks, PTB fetches to harvest,
   and a ``_WALKED`` marker ending a TLB miss's walk.  Once per run the
-  trace's address column is split into compact ``array`` columns of
-  vpns, TLB tags and global blocks (:mod:`repro.sim.columns`, 8 B per
-  access each; the write column is the trace's own).  The pass turns
-  ``_SPAN`` accesses of the tag and block columns at a time into lists,
-  so it makes no int per access and holds no full-length list; then
-  every access, in trace order, is one call of the step that
+  address space's translation becomes a sorted table.  Then, ``_SPAN``
+  accesses at a time, the trace's address column is split into lists of
+  vpns, TLB tags and global blocks (:mod:`repro.sim.columns`), so no
+  column the pass holds is as long as the trace, and each access of the
+  span, in trace order, is one call of the step that
   :func:`front_end_step` builds: the inlined TLB lookup, the memoized
   walk on a miss, and the inlined L1 probe.
 * The **back-end pass** owns all time arithmetic.  It replays the
@@ -72,7 +71,8 @@ from repro.cache.sa_cache import DIRTY
 from repro.common.lru import IntLRU
 from repro.core.base import MemoryController, PATH_CTE_HIT, PATH_ML2
 from repro.core.pipeline import ServiceTimeline
-from repro.sim.columns import global_blocks, trace_columns
+from repro.sim.columns import (TranslationTable, trace_columns,
+                               translation_table)
 from repro.sim.tracing import CATEGORY_WALK
 from repro.vm.nested import GUEST_FETCH
 
@@ -94,8 +94,8 @@ _PTB_MISS = 9   # + guest fetch: LLC miss of a PTB, arg = address << 3 | level
 _NOTE = 11      # + huge leaf: harvest a fetched PTB, arg as for _PTB_MISS
 _END = 13       # closes an access's ops
 
-#: Accesses per span whose tag and block entries the front-end pass
-#: turns into lists at once: indexing an ``array`` makes an int per read.
+#: Accesses per span of the trace that a replay loop splits into lists
+#: at once (:func:`repro.sim.columns.trace_columns`).
 _SPAN = 1 << 12
 
 
@@ -112,12 +112,11 @@ class FrontEndRecording(NamedTuple):
 class _Columns(NamedTuple):
     """Per-run inputs of the front-end pass, shared by its segments."""
 
-    vpns: array
-    tags: array    # the vpns without huge pages
-    gblocks: array  # ppn * 64 + block index, or -1 for an unmapped vpn
-    writes: bytearray  # the trace's write column: 1 for a write
+    table: TranslationTable
     codes: bytearray
-    walk_cache: dict  # vpn -> ((level, ptb address) pairs, huge) | None
+    walk_cache: dict  # vpn -> its path in walk_paths, or None if unmapped
+    walk_paths: dict  # each distinct ((level, ptb address) pairs, huge)
+    window: list   # [first access, vpns, tags, blocks] of the last span
 
 
 def run_fast(sim, state, supervisor=None) -> Optional[str]:
@@ -307,61 +306,70 @@ def _load_contents(sim, contents) -> None:
 # ----------------------------------------------------------------------
 
 def _columns(sim) -> _Columns:
-    """The trace split into the columns the front-end pass reads."""
-    trace = sim.workload.trace
-    vpns, tags, blocks, writes = trace_columns(trace, sim.huge_pages)
-    # Translation is static (same invariant the walk-path memo relies
-    # on), so the global-block column is precomputed once.
-    gblocks = global_blocks(vpns, blocks, sim.space.translation)
-    return _Columns(vpns, tags, gblocks, writes, bytearray(len(trace)), {})
+    """What the front-end passes of one run share: the translation table
+    (translation is static, the same invariant the walk memo relies on),
+    the code column they fill, the walk memo and the last span split."""
+    return _Columns(translation_table(sim.space.translation),
+                    bytearray(len(sim.workload.trace)), {}, {},
+                    [-1, [], [], []])
 
 
 def _front_end_pass(sim, columns: _Columns, start: int, stop: int,
                     reset_at: int) -> FrontEndRecording:
     """Replay accesses ``[start, stop)`` through the front end, recording
     the stream; statistics reset before access ``reset_at``."""
-    vpns, tags, gblocks, writes, codes, walk_cache = columns
+    table, codes, walk_cache, walk_paths, window = columns
     kinds = bytearray()
     args = array("q")
     misses = [sim._tlb_misses, sim._l3_data_misses]
     step = front_end_step(sim.tlb, sim.walker, sim.hierarchy,
-                          sim.nested_walker, vpns, walk_cache, kinds, args,
-                          misses)
+                          sim.nested_walker, walk_cache, walk_paths, kinds,
+                          args, misses)
     # The front end's statistics, which the warm-up boundary resets.
     front_stats = ([obj for obj, _ in _stat_parts(sim) if obj is not sim]
                    if reset_at >= 0 else ())
-    tag_view = memoryview(tags)
-    block_view = memoryview(gblocks)
+    trace = sim.workload.trace
+    writes = trace.writes
+    huge_pages = sim.huge_pages
 
-    # A span of the compact columns at a time becomes lists (_SPAN).
-    for span in range(start, stop, _SPAN):
-        end = min(stop, span + _SPAN)
-        for index, tag, block, is_write in zip(
-                range(span, end), tag_view[span:end].tolist(),
-                block_view[span:end].tolist(), writes[span:end]):
-            if index == reset_at:
-                for stat in front_stats:
-                    stat.reset()
-                misses[:] = 0, 0
-            code = step(index, tag, block, is_write)
-            if code:  # ``codes`` starts as zeros: L1 hits need no store
-                codes[index] = code
+    # The trace is split a _SPAN-aligned span at a time, kept in
+    # ``window``, so the short segments of a time-series or supervised
+    # run split each span once; the warm-up point starts a piece.
+    cuts = sorted({start, stop, *range(start - start % _SPAN + _SPAN, stop,
+                                       _SPAN)}
+                  | ({reset_at} if reset_at >= 0 else set()))
+    for low, high in zip(cuts, cuts[1:]):
+        if low == reset_at:
+            for stat in front_stats:
+                stat.reset()
+            misses[:] = 0, 0
+        first = low - low % _SPAN
+        if window[0] != first:
+            window[:] = first, *trace_columns(trace, huge_pages, table,
+                                              first, first + _SPAN)
+        _, vpns, tags, blocks = window
+        if high - low < len(vpns):
+            lo, hi = low - first, high - first
+            vpns, tags, blocks = vpns[lo:hi], tags[lo:hi], blocks[lo:hi]
+        codes[low:high] = map(step, vpns, tags, blocks, writes[low:high])
 
     sim._tlb_misses, sim._l3_data_misses = misses
     return FrontEndRecording(None, codes, kinds, args, None)
 
 
-def front_end_step(tlb, walker, hierarchy, nested_walker, vpns,
-                   walk_cache: dict, kinds: bytearray, args: array,
+def front_end_step(tlb, walker, hierarchy, nested_walker, walk_cache: dict,
+                   walk_paths: dict, kinds: bytearray, args: array,
                    misses: list):
     """The front end's per-access step, for one core's TLB, walker and
-    caches: ``step(index, tag, block, is_write)`` -> the access's code.
+    caches: ``step(vpn, tag, block, is_write)`` -> the access's code.
 
-    ``step`` runs one access whose TLB tag is ``tag`` and whose global
-    data block is ``block`` (-1: unmapped): the TLB lookup, and on a miss
-    the walk of ``vpns[index]`` -- the static walk path memoized in
-    ``walk_cache`` (shared by every step over one table), or the nested
-    walk -- with its PTB fetches through the caches and the TLB fill;
+    ``step`` runs one access to page ``vpn`` whose TLB tag is ``tag``
+    and whose global data block is ``block`` (-1: unmapped): the TLB
+    lookup, and on a miss the walk of ``vpn`` -- the static walk path
+    memoized in ``walk_cache`` (shared by every step over one table; the
+    vpns of one leaf PTB share one path object, interned in
+    ``walk_paths``), or the nested walk -- with its PTB fetches through
+    the caches and the TLB fill;
     then the data access, its L1 probe inlined.  It returns a hit level
     (0-2), ``_UNMAPPED`` or ``_EVENTS``; an ``_EVENTS`` access's ops,
     closed by ``_END``, are appended to ``kinds`` and ``args``.
@@ -419,11 +427,11 @@ def front_end_step(tlb, walker, hierarchy, nested_walker, vpns,
 
     # The TLB miss's ingredients ride in one closure cell: each call of
     # ``step`` copies every cell of its closure into its frame.
-    walk_parts = (vpns, nested_walk, ptb_fetch, walks_counter, walk_cache,
-                  walk_path, pwc_first, ptb_fetches_counter, pwc_fill,
-                  tlb_entries, tlb_pop, tlb_insert)
+    walk_parts = (nested_walk, ptb_fetch, walks_counter, walk_cache,
+                  walk_paths, walk_path, pwc_first, ptb_fetches_counter,
+                  pwc_fill, tlb_entries, tlb_pop, tlb_insert)
 
-    def step(index: int, tag: int, block: int, is_write: int) -> int:
+    def step(vpn: int, tag: int, block: int, is_write: int) -> int:
         # -- TLB lookup (TLB.lookup + TLB.fill, inlined) --------------------
         tlb_stats.total += 1
         if tag in tlb_slots:
@@ -433,10 +441,9 @@ def front_end_step(tlb, walker, hierarchy, nested_walker, vpns,
         else:
             tlb_missed = True
             misses[0] += 1
-            (vpns, nested_walk, ptb_fetch, walks_counter, walk_cache,
-             walk_path, pwc_first, ptb_fetches_counter, pwc_fill,
-             tlb_entries, tlb_pop, tlb_insert) = walk_parts
-            vpn = vpns[index]
+            (nested_walk, ptb_fetch, walks_counter, walk_cache,
+             walk_paths, walk_path, pwc_first, ptb_fetches_counter,
+             pwc_fill, tlb_entries, tlb_pop, tlb_insert) = walk_parts
             if nested_walk is not None:
                 # A 2D walk (NestedPageWalker.walk): every fetch goes
                 # through the caches; only host PTBs are harvested.
@@ -460,10 +467,10 @@ def front_end_step(tlb, walker, hierarchy, nested_walker, vpns,
                     except KeyError:
                         cached = walk_cache[vpn] = None
                     else:
-                        cached = walk_cache[vpn] = (
-                            tuple((lvl, addr) for lvl, addr, _ in path),
-                            path[-1][0] == 2,
-                        )
+                        cached = (tuple((lvl, addr) for lvl, addr, _ in path),
+                                  path[-1][0] == 2)
+                        cached = walk_cache[vpn] = walk_paths.setdefault(
+                            cached, cached)
                 if cached is not None:
                     path_pairs, walk_huge = cached
                     start_level = pwc_first(vpn)
@@ -725,21 +732,20 @@ def run_cores(sim, warmup: int) -> float:
     """
     cores = sim.cores
     num_cores = len(cores)
-    # Strided views of the trace's columns: no per-core copy is made.
-    vpns, _, blocks, writes = trace_columns(sim.workload.trace, False)
-    gblocks = global_blocks(vpns, blocks, sim.space.translation)
-    del blocks
+    trace = sim.workload.trace
+    table = translation_table(sim.space.translation)
     kinds = bytearray()
     args = array("q")
-    walk_cache: dict = {}  # the table is static: one memo for all cores
+    # The table is static: one walk memo for all cores.
+    walk_cache: dict = {}
+    walk_paths: dict = {}
     streams = []
     for core in cores:
-        core_vpns = memoryview(vpns)[core.index::num_cores]
         step = front_end_step(core.tlb, core.walker, core.hierarchy, None,
-                              core_vpns, walk_cache, kinds, args, [0, 0])
-        streams.append((step, core_vpns,
-                        memoryview(gblocks)[core.index::num_cores],
-                        memoryview(writes)[core.index::num_cores]))
+                              walk_cache, walk_paths, kinds, args, [0, 0])
+        accesses = chain.from_iterable(
+            _core_spans(trace, table, core.index, num_cores))
+        streams.append((step, accesses.__next__))
 
     config = sim.system
     compute_ns = config.cycles_to_ns(sim.workload.compute_cycles_per_access)
@@ -759,29 +765,28 @@ def run_cores(sim, warmup: int) -> float:
     reset_metrics = sim.context.reset_metrics
 
     clocks = [core.now_ns for core in cores]
-    positions = [0] * num_cores
-    ready = [(clocks[i], i) for i in range(num_cores) if len(streams[i][1])]
+    left = [len(range(i, len(trace), num_cores)) for i in range(num_cores)]
+    ready = [(clocks[i], i) for i in range(num_cores) if left[i]]
     heapify(ready)
     executed = 0
     measure_start = 0.0
     while ready:
         now, i = ready[0]
-        step, core_vpns, core_blocks, core_writes = streams[i]
+        step, next_access = streams[i]
         if executed == warmup:
             reset_metrics()
             measure_start = max(clocks)
         executed += 1
-        position = positions[i]
-        positions[i] = position + 1
+        left[i] -= 1
         now += compute_ns
-        code = step(position, core_vpns[position], core_blocks[position],
-                    core_writes[position])
+        vpn, block, is_write = next_access()
+        code = step(vpn, vpn, block, is_write)
         if code != _EVENTS:
             stall = code_stall[code]
         else:
             stall = 0.0
             if publish is not None and _WALKED in kinds:
-                publish("sim.tlb_miss", now, vpn=core_vpns[position], core=i)
+                publish("sim.tlb_miss", now, vpn=vpn, core=i)
             next_arg = iter(args).__next__
             for kind in kinds:
                 if kind < _WALKED:
@@ -807,7 +812,7 @@ def run_cores(sim, warmup: int) -> float:
             del args[:]
         now += stall * mlp
         clocks[i] = now
-        if positions[i] < len(core_vpns):
+        if left[i]:
             heapreplace(ready, (now, i))
         else:
             heappop(ready)
@@ -815,6 +820,18 @@ def run_cores(sim, warmup: int) -> float:
     for core, clock in zip(cores, clocks):
         core.now_ns = clock
     return measure_start
+
+
+def _core_spans(trace, table, first: int, num_cores: int):
+    """Core ``first``'s accesses (``first, first + num_cores, ...``) as
+    ``(vpn, global block, is_write)`` iterators, one per ``_SPAN``."""
+    writes = trace.writes
+    width = _SPAN * num_cores
+    for start in range(first, len(trace), width):
+        stop = start + width
+        vpns, _, blocks = trace_columns(trace, False, table, start, stop,
+                                        num_cores)
+        yield zip(vpns, blocks, writes[start:stop:num_cores])
 
 
 def _add_miss_span(tracer, start_ns: float, latency: float, path: str,

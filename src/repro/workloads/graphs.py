@@ -48,6 +48,10 @@ _SPAN = 1 << 10
 #: which is cheaper than numpy's per-call cost for so few targets.
 _SHORT = 8
 
+#: Vertices whose degrees are scaled at once, in 512 KB of float64
+#: scratch (:meth:`CSRGraph.power_law`).
+_DEGREE_CHUNK = 1 << 16
+
 
 class CSRGraph:
     """Compressed-sparse-row graph with Zipf-skewed degrees.
@@ -131,12 +135,23 @@ class CSRGraph:
             raise ValueError(f"num_vertices {num_vertices} does not fit "
                              f"int32 edge targets")
         rng = np.random.default_rng(seed)
-        raw = rng.zipf(1.6, size=num_vertices)
-        degrees = np.minimum(raw * avg_degree // 2, num_vertices // 2)
+        # In place: the raw draws become the capped degrees, and their
+        # scaled values go straight into ``offsets``, a chunk of float
+        # scratch at a time, so no other full-length column exists.
+        degrees = rng.zipf(1.6, size=num_vertices)
+        degrees *= avg_degree
+        degrees //= 2
+        np.minimum(degrees, num_vertices // 2, out=degrees)
         scale = (num_vertices * avg_degree) / max(1, degrees.sum())
-        degrees = np.maximum(1, (degrees * scale).astype(np.int64))
-        offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(degrees, out=offsets[1:])
+        offsets = np.empty(num_vertices + 1, dtype=np.int64)
+        offsets[0] = 0
+        scaled = offsets[1:]
+        for low in range(0, num_vertices, _DEGREE_CHUNK):
+            high = low + _DEGREE_CHUNK
+            # int64 * float is float64, truncated to int64 as astype does.
+            scaled[low:high] = degrees[low:high] * scale
+        np.maximum(scaled, 1, out=scaled)
+        np.cumsum(scaled, out=scaled)
         return cls(offsets, rng)
 
 

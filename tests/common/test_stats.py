@@ -1,8 +1,11 @@
 """Unit tests for statistics containers."""
 
 import math
+import sys
+from functools import reduce
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.stats import Counter, Histogram, RatioStat, StatGroup, geomean, mean
 
@@ -62,6 +65,50 @@ def test_histogram_basic():
     assert histogram.count == 4
     assert histogram.total == 100
     assert histogram.mean == 25
+
+
+SAMPLES = st.lists(st.floats(min_value=0.0, max_value=1e12,
+                             allow_nan=False, allow_infinity=False),
+                   max_size=200)
+
+
+@given(SAMPLES)
+def test_histogram_mean_is_a_left_fold_from_zero(samples):
+    """The running total adds samples in arrival order from 0.0, so the
+    mean is the same bits on every interpreter."""
+    histogram = Histogram("latency")
+    for value in samples:
+        histogram.record(value)
+    folded = reduce(lambda total, value: total + value, samples, 0.0)
+    assert histogram.count == len(samples)
+    assert histogram.total.hex() == folded.hex()
+    expected = folded / len(samples) if samples else 0.0
+    assert histogram.mean.hex() == expected.hex()
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="3.12's sum() of floats is compensated")
+@given(SAMPLES)
+def test_histogram_mean_equals_sum_over_len_before_3_12(samples):
+    """On 3.10 and 3.11 ``sum()`` folds left, so the mean equals what a
+    list of every sample reported (the goldens were made that way)."""
+    histogram = Histogram("latency")
+    for value in samples:
+        histogram.record(value)
+    assert histogram.mean.hex() == mean(samples).hex()
+
+
+def test_histogram_keeps_no_samples():
+    histogram = Histogram("latency")
+    assert set(Histogram.__slots__) == {"name", "count", "total"}
+    assert not hasattr(histogram, "__dict__")
+    for value in range(10_000):
+        histogram.record(float(value))
+    assert sys.getsizeof(histogram) == sys.getsizeof(Histogram("other"))
+    histogram.reset()
+    assert (histogram.count, histogram.total, histogram.mean) == (0, 0.0, 0.0)
+    histogram.record(3.0)
+    assert (histogram.count, histogram.mean) == (1, 3.0)
 
 
 def test_stat_group_registry_and_dump():

@@ -1,16 +1,18 @@
 """Tests for the shared virtual-address decomposition (`repro.sim.columns`).
 
-The replay loop splits accesses through this module; these tests pin
+The replay loops split accesses through this module; these tests pin
 the decomposition itself (including the huge-page tag), prove that
 `trace_columns` of a compact trace agrees with the per-access helper,
-and that `global_blocks` agrees with a per-access translation.
+span by span and strided, and that its global blocks agree with a
+per-access translation.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError
-from repro.sim.columns import decompose_vaddr, global_blocks, trace_columns
+from repro.sim.columns import (decompose_vaddr, trace_columns,
+                               translation_table)
 from repro.workloads.trace import Trace
 
 ADDRESSES = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -34,14 +36,20 @@ def test_decompose_field_relations(vaddr, huge):
     assert block == (vaddr >> 6) & 0x3F
 
 
+def identity_pages(records):
+    """Every page of ``records`` mapped to frame 0: a global block is
+    then the block index within the page."""
+    return translation_table({vaddr >> 12: 0 for vaddr, _ in records})
+
+
 def assert_columns_match(records, huge):
-    vpns, tags, blocks, writes = trace_columns(Trace.from_records(records),
-                                               huge)
-    assert len(vpns) == len(tags) == len(blocks) == len(writes) == len(records)
+    trace = Trace.from_records(records)
+    vpns, tags, blocks = trace_columns(trace, huge, identity_pages(records))
+    assert len(vpns) == len(tags) == len(blocks) == len(records)
     for i, (vaddr, is_write) in enumerate(records):
         vpn, tag, block = decompose_vaddr(vaddr, huge)
         assert (vpns[i], tags[i], blocks[i]) == (vpn, tag, block)
-        assert writes[i] == is_write
+        assert trace.writes[i] == is_write
 
 
 @pytest.mark.parametrize("huge", [False, True])
@@ -61,9 +69,9 @@ def test_trace_columns_of_a_compact_trace_match_decompose(records, huge):
 
 def test_trace_columns_small_pages_share_the_vpn_column():
     trace = Trace.from_records([(0x1234000, False), (0x1235000, True)])
-    vpns, tags, _, writes = trace_columns(trace, huge_pages=False)
+    vpns, tags, _ = trace_columns(trace, False, translation_table({}))
     assert tags is vpns  # no huge pages: the tag column IS the vpn column
-    assert writes is trace.writes  # the trace's own column, not a copy
+    assert vpns == [0x1234, 0x1235]
 
 
 @pytest.mark.parametrize("address", [1 << 64, 1 << 70, -1],
@@ -75,9 +83,9 @@ def test_trace_beyond_64_bits_is_a_config_error(address):
 
 
 def test_trace_columns_empty_trace():
-    columns = trace_columns(Trace(), huge_pages=False)
-    assert [len(column) for column in columns] == [0, 0, 0, 0]
-    assert len(global_blocks(columns[0], columns[2], {5: 7})) == 0
+    for table in (translation_table({}), translation_table({5: 7})):
+        for huge in (False, True):
+            assert trace_columns(Trace(), huge, table) == ([], [], [])
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,22 +96,29 @@ def test_trace_columns_empty_trace():
 def test_global_blocks_match_a_per_access_translation(accesses, translation):
     trace = Trace.from_records([(vpn << 12 | offset, False)
                                 for vpn, offset in accesses])
-    vpns, _, blocks, _ = trace_columns(trace, huge_pages=False)
+    _, _, blocks = trace_columns(trace, False, translation_table(translation))
     expected = [-1 if vpn not in translation
                 else translation[vpn] * 64 + (offset >> 6)
                 for vpn, offset in accesses]
-    assert global_blocks(vpns, blocks, translation).tolist() == expected
+    assert blocks == expected
 
 
 def test_global_blocks_span_chunks():
-    """More accesses than one chunk of numpy scratch space."""
-    count = 150_000
+    """A span or a strided span of a trace is that part of the whole
+    trace's columns (a replay loop splits span by span, and each core of
+    the 4-core engine takes every fourth access)."""
+    count = 20_000
     trace = Trace.from_records(((i % 97) << 12 | (i % 64) << 6, False)
                                for i in range(count))
-    vpns, _, blocks, _ = trace_columns(trace, huge_pages=False)
-    translation = {vpn: 1000 + vpn for vpn in range(0, 97, 2)}
-    gblocks = global_blocks(vpns, blocks, translation)
-    for i in (0, 1, 65_535, 65_536, 131_073, count - 1):
+    table = translation_table({vpn: 1000 + vpn for vpn in range(0, 97, 2)})
+    whole = trace_columns(trace, True, table)
+    for i in (0, 1, 4095, 4096, 13_073, count - 1):
         vpn = i % 97
-        assert gblocks[i] == (-1 if vpn % 2 else
-                              (1000 + vpn) * 64 + i % 64)
+        assert whole[0][i] == vpn and whole[1][i] == vpn >> 9
+        assert whole[2][i] == (-1 if vpn % 2 else
+                               (1000 + vpn) * 64 + i % 64)
+    for start, stop, stride in ((0, 4096, 1), (4096, 8192, 1),
+                                (3, count + 5, 4), (count - 1, None, 1),
+                                (5, 5, 1), (3, 60, 4), (4090, 4110, 1)):
+        span = trace_columns(trace, True, table, start, stop, stride)
+        assert span == tuple(column[start:stop:stride] for column in whole)

@@ -73,11 +73,30 @@ def test_sweep_run_workers_matches_inline(tmp_path, capsys):
 
 
 def test_sweep_builtin_spec_accepted(tmp_path, capsys):
-    # 'smoke' is the in-tree tiny matrix; just validate it loads and
-    # the run starts -- exit 0 means all four jobs completed.
+    """The builtin tiny matrix end to end: 'smoke' (2 workloads x
+    compresso/tmcc@iso) on 2 worker processes, a second invocation that
+    resumes and skips every job, and a valid export."""
     store = str(tmp_path / "s.db")
-    assert main(["sweep", "run", "smoke", "--store", store]) == 0
+    assert main(["sweep", "run", "smoke", "--store", store,
+                 "--jobs", "2"]) == 0
     assert "4 done" in capsys.readouterr().out
+
+    assert main(["sweep", "run", "smoke", "--store", store]) == 0
+    resumed = capsys.readouterr().out
+    assert "(resumed)" in resumed
+    assert resumed.count("skipped (already recorded)") == 4
+
+    assert main(["sweep", "ls", "--store", store]) == 0
+    assert main(["sweep", "show", "smoke", "--store", store]) == 0
+    out = tmp_path / "smoke.json"
+    assert main(["sweep", "export", "smoke", "--store", store,
+                 "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["schema"].startswith("repro-sweep/"), document["schema"]
+    jobs = document["jobs"]
+    assert len(jobs) == 4 and all(job["status"] == "done" for job in jobs)
+    iso = [job for job in jobs if job["budget"] == "iso"]
+    assert iso and all(job["budget_bytes"] for job in iso)
 
 
 def test_sweep_error_exit_codes(tmp_path, capsys):

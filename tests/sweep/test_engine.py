@@ -296,10 +296,10 @@ def test_retry_delay_is_deterministic_and_capped():
 # ----------------------------------------------------------------------
 
 def busy_job():
-    """One real matrix cell big enough to survive until the test kills
-    its worker."""
-    return tiny_spec(workloads=("mcf",), controllers=("compresso",),
-                     accesses=60_000, scale=0.3).expand()[0]
+    """One real matrix cell; ``hold_worker_in_job`` keeps its first
+    attempt in progress until the test signals the worker."""
+    return tiny_spec(workloads=("mcf",),
+                     controllers=("compresso",)).expand()[0]
 
 
 def busy_worker(pool, timeout_s=10.0):
@@ -314,7 +314,7 @@ def busy_worker(pool, timeout_s=10.0):
     raise AssertionError("no worker picked the job up")
 
 
-def test_pool_detects_sigkilled_worker_and_recovers():
+def test_pool_detects_sigkilled_worker_and_recovers(hold_worker_in_job):
     """SIGKILL a worker mid-job: the pool must synthesize a transient
     failure for that attempt, replace the worker, and complete the
     job's retry."""
@@ -322,6 +322,7 @@ def test_pool_detects_sigkilled_worker_and_recovers():
     try:
         job = busy_job()
         pool.submit(job, None, None, attempt=1)
+        hold_worker_in_job()
         victim = busy_worker(pool)
         os.kill(victim.proc.pid, signal.SIGKILL)
         record = pool.next_result()
@@ -353,7 +354,7 @@ def test_pool_respawns_dead_idle_worker_on_submit():
         pool.close()
 
 
-def test_hung_worker_is_replaced_and_job_retried():
+def test_hung_worker_is_replaced_and_job_retried(hold_worker_in_job):
     """SIGSTOP a worker mid-job: once its heartbeat is older than the
     timeout the pool must kill it, synthesize a transient failure for
     that attempt, respawn the slot, and complete the job's retry."""
@@ -361,6 +362,7 @@ def test_hung_worker_is_replaced_and_job_retried():
     try:
         job = busy_job()
         pool.submit(job, None, None, attempt=1)
+        hold_worker_in_job()
         victim = busy_worker(pool)
         os.kill(victim.proc.pid, signal.SIGSTOP)
         # Should the pool never act, kill the victim later so the test
@@ -450,12 +452,12 @@ def test_exhausted_retries_quarantine_not_abort(tmp_path,
     assert not resumed.quarantined  # nothing re-ran, nothing new
 
 
-def test_sweep_completes_through_external_worker_death(tmp_path):
+def test_sweep_completes_through_external_worker_death(tmp_path,
+                                                      hold_worker_in_job):
     """End to end: an externally SIGKILLed worker costs one attempt,
     the engine requeues per retry policy, and the sweep lands
     row-identical to an undisturbed run."""
-    spec = tiny_spec(workloads=("mcf",), controllers=("compresso",),
-                     accesses=60_000, scale=0.3)
+    spec = tiny_spec(workloads=("mcf",), controllers=("compresso",))
     control = run_sweep(spec, store=str(tmp_path / "control.db"))
 
     store_path = str(tmp_path / "killed.db")
@@ -473,6 +475,7 @@ def test_sweep_completes_through_external_worker_death(tmp_path):
         import threading
 
         def assassin():
+            hold_worker_in_job()
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 pool = pool_holder.get("pool")

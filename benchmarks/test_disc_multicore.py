@@ -10,7 +10,7 @@ queues, which is the regime TMCC was designed for.
 from conftest import print_table
 
 from repro.common.stats import geomean
-from repro.sim.multicore import MultiCoreSimulator
+from repro.sim.simulator import Simulator
 
 
 def test_four_core_iso_capacity(benchmark, cache, workload_names):
@@ -23,12 +23,12 @@ def test_four_core_iso_capacity(benchmark, cache, workload_names):
         speedups = []
         for name in names:
             workload = cache.workload(name)
-            compresso = MultiCoreSimulator(
-                workload, num_cores=4, controller="compresso",
+            compresso = Simulator(
+                workload, cores=4, controller="compresso",
                 system=cache.system, model=cache.model(name),
             ).run()
-            tmcc = MultiCoreSimulator(
-                workload, num_cores=4, controller="tmcc",
+            tmcc = Simulator(
+                workload, cores=4, controller="tmcc",
                 system=cache.system, model=cache.model(name),
                 dram_budget_bytes=compresso.dram_used_bytes,
             ).run()

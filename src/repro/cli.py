@@ -221,9 +221,8 @@ def _run_failure(args: argparse.Namespace, error: BaseException,
         # Best effort: a failed run still leaves its sampled spans and
         # windowed rows behind for post-mortem analysis.
         try:
-            timeseries = getattr(sim, "timeseries", None)
-            if timeseries is not None:
-                timeseries.finish(sim.clock.now_ns)
+            if sim.timeseries is not None:
+                sim.timeseries.finish(sim.clock.now_ns)
             _write_observability_outputs(args, sim, quiet=True)
         except Exception:
             pass
@@ -254,11 +253,6 @@ def _validate_observability_args(args: argparse.Namespace) -> Optional[str]:
         return "--interval-ns needs --interval-out PATH"
     if args.interval_out and args.interval_ns is None:
         return "--interval-out needs --interval-ns NS"
-    observability = (args.trace_out or args.interval_ns is not None
-                     or args.profile)
-    if observability and args.cores > 1:
-        return ("--trace-out/--interval-ns/--profile only support "
-                "single-core runs")
     if args.profile and args.resume is not None:
         return ("--profile cannot be combined with --resume; profiling "
                 "hooks are wired at construction time")
@@ -273,21 +267,16 @@ def _validate_run_args(args: argparse.Namespace) -> Optional[str]:
     if issue is not None:
         return issue
     if args.resume is not None:
-        if args.faults:
-            return ("--faults cannot be combined with --resume; the "
-                    "fault plan is part of the checkpoint")
-        if args.cores > 1:
-            return "--resume only supports single-core runs"
+        if args.faults or args.cores != 1:
+            return ("--faults/--cores cannot be combined with --resume; "
+                    "the fault plan and the core count are part of the "
+                    "checkpoint")
         return None
     if args.workload is None:
         return "a workload is required unless --controller list or --resume"
     if args.workload not in PAPER_WORKLOAD_NAMES:
         return (f"unknown workload {args.workload!r}; "
                 f"choose from {PAPER_WORKLOAD_NAMES}")
-    if args.cores > 1 and args.faults:
-        return "--faults only supports single-core runs"
-    if args.cores > 1 and (args.checkpoint or args.wall_clock_limit):
-        return "--checkpoint/--wall-clock-limit only support single-core runs"
     return None
 
 
@@ -296,7 +285,7 @@ def _write_observability_outputs(args: argparse.Namespace, sim,
     """Write --trace-out / --interval-out files from whatever the run
     collected.  Called after normal, truncated, *and* failed runs, so a
     watchdog-killed simulation still leaves its sampled spans behind."""
-    tracer = getattr(sim, "tracer", None)
+    tracer = sim.tracer
     if tracer is not None and args.trace_out:
         from repro.sim.tracing import write_trace_file
 
@@ -312,7 +301,7 @@ def _write_observability_outputs(args: argparse.Namespace, sim,
                   f"({summary['spans_retained']} spans, "
                   f"{summary['traces_dropped']} dropped) "
                   f"written to {args.trace_out}")
-    timeseries = getattr(sim, "timeseries", None)
+    timeseries = sim.timeseries
     if timeseries is not None and args.interval_out:
         from repro.sim.timeseries import write_timeseries_file
 
@@ -343,29 +332,23 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
             sim = load_checkpoint(args.resume)
             controller_name = sim.controller_name
         else:
-            from repro.sim.multicore import MultiCoreSimulator
             from repro.sim.simulator import Simulator
 
             workload = workload_by_name(args.workload,
                                         max_accesses=args.accesses,
                                         scale=args.scale)
             controller_name = args.controller
-            if args.cores > 1:
-                sim = MultiCoreSimulator(workload, num_cores=args.cores,
-                                         controller=args.controller,
-                                         seed=args.seed)
-            else:
-                context = None
-                if args.profile:
-                    # Probes capture the profiler at construction, so it
-                    # must be armed on the context *before* the build.
-                    from repro.sim.context import SimContext
+            context = None
+            if args.profile:
+                # Probes capture the profiler at construction, so it
+                # must be armed on the context *before* the build.
+                from repro.sim.context import SimContext
 
-                    context = SimContext(seed=args.seed)
-                    context.enable_profiling()
-                sim = Simulator(workload, controller=args.controller,
-                                seed=args.seed, fault_plan=plan,
-                                context=context)
+                context = SimContext(seed=args.seed)
+                context.enable_profiling()
+            sim = Simulator(workload, controller=args.controller,
+                            seed=args.seed, fault_plan=plan,
+                            context=context, cores=args.cores)
     except BaseException:
         if event_writer is not None:
             event_writer.close()
@@ -412,8 +395,7 @@ def _run_simulation(args: argparse.Namespace, holder: dict) -> int:
 
         record = result.as_dict()
         record["metrics_tree"] = nest_metrics(result.metrics)
-        if hasattr(sim, "describe_run"):
-            record["run_config"] = sim.describe_run()
+        record["run_config"] = sim.describe_run()
         print(json.dumps(record, indent=2, sort_keys=True))
     else:
         print(f"{sim.workload.name} / {controller_name}: "
@@ -1007,7 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=0.4)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--cores", type=int, default=1,
-                     help=">1 uses the multi-core engine")
+                     help="cores sharing the L3, memory controller and "
+                          "DRAM (Table III: 4)")
     run.add_argument("--breakdown", action="store_true",
                      help="print the per-path per-stage miss-latency table")
     run.add_argument("--emit-json", action="store_true",

@@ -47,23 +47,16 @@ def run_workload(
 ) -> SimResult:
     """Run one (workload, controller) configuration end to end.
 
-    ``cores > 1`` routes through the multi-core engine (Table III's
-    4-core configuration); huge pages are a single-core-only knob.
+    One core runs as a sweep cell; more are Table III's multi-core
+    machine (``Simulator(cores=...)``).
     """
-    if cores > 1:
-        if huge_pages:
-            raise ValueError("huge_pages is only supported with cores=1")
-        from repro.sim.multicore import MultiCoreSimulator
+    if cores != 1:
+        from repro.sim.simulator import Simulator
 
-        return MultiCoreSimulator(
-            workload,
-            num_cores=cores,
-            controller=controller,
-            system=system,
-            dram_budget_bytes=dram_budget_bytes,
-            seed=seed,
-            model=model,
-        ).run()
+        return Simulator(workload, controller=controller, system=system,
+                         dram_budget_bytes=dram_budget_bytes,
+                         huge_pages=huge_pages, seed=seed, model=model,
+                         cores=cores).run()
     from repro.sweep.worker import execute_job
 
     record = execute_job(

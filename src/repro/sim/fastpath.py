@@ -30,10 +30,11 @@ so an unobserved run pays nothing for them.
   rather than the PTEs, so a controller reads a PTB only when it needs
   to (TMCC: on the PTB's first harvest).
 
-:func:`run_cores` is the multi-core engine's loop.  Its cores interleave
-by local clock and share an L3, so it cannot record a front end ahead;
-each access takes its core's :func:`front_end_step`, and its ops are
-served at once, as the back-end pass serves them.
+:func:`run_cores` is the loop of a simulator with more than one core.
+Its cores interleave by local clock and share an L3, so it cannot
+record a front end ahead; each access takes its core's
+:func:`front_end_step`, and its ops are served at once, as the back-end
+pass serves them.
 
 Segments.  Whatever reads the whole metrics registry mid-run must see
 the front end no further along than the back end, so the trace splits
@@ -717,34 +718,37 @@ def _back_end_pass(sim, state, recording: FrontEndRecording, stop: int,
 # The multi-core loop: each access's ops served at once
 # ----------------------------------------------------------------------
 
-def run_cores(sim, warmup: int) -> float:
-    """Replay ``sim``'s trace on its cores (a
-    :class:`~repro.sim.multicore.MultiCoreSimulator`); statistics reset
-    after the first ``warmup`` accesses, and the time then (the most
-    advanced core's clock) is returned, or 0.0 if that point never comes.
+def run_cores(sim, state) -> None:
+    """Replay ``sim``'s trace on its ``sim.cores`` cores from the start
+    (``state`` at index 0) to the end; statistics reset after the first
+    ``state.warmup_end`` accesses, and the time then (the most advanced
+    core's clock) becomes ``state.measure_start_ns``.  The simulator's
+    clock ends at the most advanced core's.
 
     Core ``i`` replays accesses ``i, i + n, i + 2n, ...`` through its own
     :func:`front_end_step`, and the least-advanced core with work left
     runs next (the lowest index on a tie): that is how concurrent
     streams interleave at the shared controller.  An access's ops are
     served at once on its core's clock, with the back-end pass's
-    semantics and no observer but ``sim.tlb_miss`` events.
+    semantics and counters and no observer but ``sim.tlb_miss`` events.
     """
     cores = sim.cores
-    num_cores = len(cores)
     trace = sim.workload.trace
+    count = len(trace)
     table = translation_table(sim.space.translation)
     kinds = bytearray()
     args = array("q")
-    # The table is static: one walk memo for all cores.
+    # The table is static: one walk memo for all cores; and one count of
+    # [TLB misses, LLC data misses] over all cores.
     walk_cache: dict = {}
     walk_paths: dict = {}
+    misses = [sim._tlb_misses, sim._l3_data_misses]
     streams = []
-    for core in cores:
-        step = front_end_step(core.tlb, core.walker, core.hierarchy, None,
-                              walk_cache, walk_paths, kinds, args, [0, 0])
+    for index, (tlb, walker, hierarchy) in enumerate(sim.front_ends):
+        step = front_end_step(tlb, walker, hierarchy, None, walk_cache,
+                              walk_paths, kinds, args, misses)
         accesses = chain.from_iterable(
-            _core_spans(trace, table, core.index, num_cores))
+            _core_spans(trace, table, index, cores))
         streams.append((step, accesses.__next__))
 
     config = sim.system
@@ -762,20 +766,24 @@ def run_cores(sim, warmup: int) -> float:
     table_ptb_at = sim.table.ptb_at
     bus = sim.context.bus
     publish = bus.publish if bus.active else None
-    reset_metrics = sim.context.reset_metrics
+    warmup = state.warmup_end
+    fig5_cte_misses = sim._fig5_cte_misses
+    fig5_after_tlb = sim._fig5_after_tlb
 
-    clocks = [core.now_ns for core in cores]
-    left = [len(range(i, len(trace), num_cores)) for i in range(num_cores)]
-    ready = [(clocks[i], i) for i in range(num_cores) if left[i]]
+    clocks = [sim.clock.now_ns] * cores
+    left = [len(range(i, count, cores)) for i in range(cores)]
+    ready = [(clocks[i], i) for i in range(cores) if left[i]]
     heapify(ready)
     executed = 0
-    measure_start = 0.0
     while ready:
         now, i = ready[0]
         step, next_access = streams[i]
         if executed == warmup:
-            reset_metrics()
-            measure_start = max(clocks)
+            sim._reset_stats()
+            misses[:] = 0, 0
+            fig5_cte_misses = 0
+            fig5_after_tlb = 0
+            state.measure_start_ns = max(clocks)
         executed += 1
         left[i] -= 1
         now += compute_ns
@@ -797,15 +805,24 @@ def run_cores(sim, warmup: int) -> float:
                 arg = next_arg()
                 if kind < _WRITEBACK:
                     stall += lat_miss
-                    stall += serve_fast(
+                    latency, path, _ = serve_fast(
                         arg >> 6, arg & 63, now + stall,
-                        kind == _MISS + 1 or kind == _MISS + 3)[0]
+                        kind == _MISS + 1 or kind == _MISS + 3)
+                    stall += latency
+                    if path != PATH_CTE_HIT:
+                        fig5_cte_misses += 1
+                        if kind > _MISS + 1:
+                            fig5_after_tlb += 1
                 elif kind == _WRITEBACK:
                     serve_writeback(arg >> 6, arg & 63, now + stall)
                 elif kind < _NOTE:
                     stall += lat_miss
-                    stall += serve_fast(arg >> 15, (arg >> 9) & 63,
-                                        now + stall, False)[0]
+                    latency, path, _ = serve_fast(
+                        arg >> 15, (arg >> 9) & 63, now + stall, False)
+                    stall += latency
+                    if path != PATH_CTE_HIT:
+                        fig5_cte_misses += 1
+                        fig5_after_tlb += 1
                 elif do_note:
                     note_ptb(arg & 7, arg >> 3, table_ptb_at, kind != _NOTE)
             del kinds[:]
@@ -817,21 +834,24 @@ def run_cores(sim, warmup: int) -> float:
         else:
             heappop(ready)
 
-    for core, clock in zip(cores, clocks):
-        core.now_ns = clock
-    return measure_start
+    sim.clock.now_ns = max(clocks)
+    state.index = count
+    state.measured = max(0, count - warmup)
+    sim._tlb_misses, sim._l3_data_misses = misses
+    sim._fig5_cte_misses = fig5_cte_misses
+    sim._fig5_after_tlb = fig5_after_tlb
 
 
-def _core_spans(trace, table, first: int, num_cores: int):
-    """Core ``first``'s accesses (``first, first + num_cores, ...``) as
+def _core_spans(trace, table, first: int, cores: int):
+    """Core ``first``'s accesses (``first, first + cores, ...``) as
     ``(vpn, global block, is_write)`` iterators, one per ``_SPAN``."""
     writes = trace.writes
-    width = _SPAN * num_cores
+    width = _SPAN * cores
     for start in range(first, len(trace), width):
         stop = start + width
         vpns, _, blocks = trace_columns(trace, False, table, start, stop,
-                                        num_cores)
-        yield zip(vpns, blocks, writes[start:stop:num_cores])
+                                        cores)
+        yield zip(vpns, blocks, writes[start:stop:cores])
 
 
 def _add_miss_span(tracer, start_ns: float, latency: float, path: str,

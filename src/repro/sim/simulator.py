@@ -13,6 +13,16 @@ time plus the fraction of the memory stall the 4-wide OoO core cannot
 hide (``mlp_stall_factor``).  Absolute IPC is not claimed -- only the
 relative comparisons the paper makes.
 
+With ``cores=N`` it is Table III's N-core machine: each core has a
+private TLB, page walker, L1 and L2 (metrics under ``core<i>.*``); the
+L3, the compression controller and DRAM are shared (at the top level).
+The trace is partitioned round-robin into one stream per core --
+multi-threaded benchmarks share one address space, and the split of a
+single-threaded trace plays the part of the paper's concurrent
+instances.  Cores advance their own clocks; contention shows through the
+DRAM channel's busy horizon and L3/CTE-cache interference, and the
+reported performance is aggregate throughput.
+
 Construction runs through a :class:`~repro.sim.context.SimContext`: it
 owns the RNG streams, the clock, the component tree, and the
 instrumentation surface (event bus + metrics registry).  Controllers are
@@ -24,9 +34,11 @@ decorating a class -- no simulator edits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.sa_cache import SetAssociativeCache
+from repro.common.errors import ConfigError
 from repro.common.units import PAGE_SIZE
 from repro.core import (  # noqa: F401  (importing registers the built-ins)
     CONTROLLER_REGISTRY,
@@ -38,42 +50,30 @@ from repro.core.compmodel import PageCompressionModel
 from repro.core.config import SystemConfig
 from repro.dram.system import DRAMSystem
 from repro.sim.context import SimContext
-from repro.sim.fastpath import run_fast
+from repro.sim.fastpath import run_cores, run_fast
 from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.results import SimResult
-from repro.sim.space import AddressSpace, address_space
+from repro.sim.space import address_space
 from repro.vm.tlb import TLB
 from repro.vm.walker import PageWalker
 from repro.workloads.trace import Workload
 
 
-def build_controller(context: SimContext, name: str, dram: DRAMSystem,
-                     space: AddressSpace, model: PageCompressionModel,
-                     dram_budget_bytes: Optional[int], seed: int):
-    """Create controller ``name`` at ``controller`` in ``context``'s tree,
-    wire its instrumentation and its path, stage and CTE-cache metrics,
-    and place ``space``'s pages (a two-level controller within
-    ``dram_budget_bytes``)."""
-    controller = context.register(
-        "controller", create_controller(name, context.system, dram, seed=seed))
-    controller.attach_instrumentation(
-        context.probe("controller", stats=controller.stats))
-    context.metrics.attach("controller.paths", controller.path_fractions)
-    # Per-stage access-pipeline latencies (Figures 8/18): histograms
-    # under controller.stage.*, per-path aggregation under
-    # controller.breakdown.* (both reset at the warm-up boundary).
-    context.metrics.attach("controller.stage", controller.stage_stats)
-    context.metrics.attach("controller.breakdown",
-                           controller.stage_accounting)
-    if hasattr(controller, "cte_cache"):
-        context.register("controller.cte_cache", controller.cte_cache)
-    if isinstance(controller, TwoLevelController):
-        controller.initialize(space.data_ppns, space.hotness,
-                              space.table_ppns, model, dram_budget_bytes)
-    else:
-        controller.initialize(space.data_ppns, space.hotness,
-                              space.table_ppns, model)
-    return controller
+class CoreFrontEnd(NamedTuple):
+    """One core's private front end; its hierarchy's L3 is shared."""
+
+    tlb: TLB
+    walker: PageWalker
+    hierarchy: CacheHierarchy
+
+
+def _check_cores(cores: int, **used: bool) -> None:
+    """The one check of what only the single-core loop runs: with more
+    than one core, refuse every feature in ``used`` that is on."""
+    names = [name for name, on in used.items() if on]
+    if cores > 1 and names:
+        raise ConfigError(f"cores={cores} cannot run with "
+                          f"{' or '.join(names)} (single-core only)")
 
 
 @dataclass
@@ -91,7 +91,8 @@ class RunProgress:
 
 
 class Simulator:
-    """One workload x one memory-system configuration."""
+    """One workload x one memory-system configuration, on ``cores``
+    cores."""
 
     def __init__(
         self,
@@ -102,18 +103,25 @@ class Simulator:
         huge_pages: bool = False,
         seed: int = 1,
         model: Optional[PageCompressionModel] = None,
-        placement_drift: float = 0.03,
+        placement_drift: Optional[float] = None,
         virtualized: bool = False,
         context: Optional[SimContext] = None,
         fault_plan: Optional[FaultPlan] = None,
         resilience: bool = False,
+        cores: int = 1,
     ) -> None:
         CONTROLLER_REGISTRY.get(controller)  # fail fast on an unknown name
+        if cores < 1:
+            raise ConfigError(f"cores must be >= 1, got {cores}")
         if virtualized and huge_pages:
             raise ValueError("virtualized mode models 4 KB guest pages only")
         self.context = context or SimContext(system, seed)
+        _check_cores(cores, huge_pages=huge_pages, virtualized=virtualized,
+                     fault_plan=bool(fault_plan), resilience=resilience,
+                     profiler=self.context.profiler is not None)
         self.workload = workload
         self.controller_name = controller
+        self.cores = cores
         self.system = self.context.system
         self.clock = self.context.clock
         self.huge_pages = huge_pages
@@ -122,7 +130,10 @@ class Simulator:
         #: CTEs from every *host* PTB fetch of each nested walk.
         self.virtualized = virtualized
         #: Warm-up imperfection: a ``placement_drift`` fraction of warm
-        #: pages start cold in ML2 (see :mod:`repro.sim.space`).
+        #: pages start cold in ML2 (see :mod:`repro.sim.space`); 3% on
+        #: one core, none on more.
+        if placement_drift is None:
+            placement_drift = 0.03 if cores == 1 else 0.0
         self.placement_drift = placement_drift
 
         # -- virtual memory: shared by every simulator on the workload --
@@ -131,43 +142,70 @@ class Simulator:
         self.table = self.space.table
         self.host_table = self.space.host_table
 
-        self.tlb = self.context.register(
-            "tlb", TLB(entries=self.system.tlb_entries))
-        self.walker = self.context.register("walker", PageWalker(self.table))
-        self.context.register("walker.pwc", self.walker.pwc)
-        self.context.metrics.attach("walker.walks", self.walker.walks)
-        self.context.metrics.attach("walker.ptb_fetches",
-                                    self.walker.ptb_fetches)
-        self.hierarchy = self.context.register(
-            "cache", CacheHierarchy(self.system.cache))
-        self.context.metrics.attach("cache.l1", self.hierarchy.l1.stats)
-        self.context.metrics.attach("cache.l2", self.hierarchy.l2.stats)
-        self.context.metrics.attach("cache.l3", self.hierarchy.l3.stats)
-        self.dram = self.context.register("dram", DRAMSystem(self.system.dram))
+        # -- per-core TLB, walker, L1/L2 (core<i>.* on more than one
+        # core) in front of one L3 ------------------------------------
+        register = self.context.register
+        attach = self.context.metrics.attach
+        l3 = SetAssociativeCache(self.system.cache.l3_size,
+                                 self.system.cache.l3_assoc, "l3")
+        self.front_ends: List[CoreFrontEnd] = []
+        for index in range(cores):
+            prefix = f"core{index}." if cores > 1 else ""
+            tlb = register(prefix + "tlb",
+                           TLB(entries=self.system.tlb_entries))
+            walker = register(prefix + "walker", PageWalker(self.table))
+            register(prefix + "walker.pwc", walker.pwc)
+            attach(prefix + "walker.walks", walker.walks)
+            attach(prefix + "walker.ptb_fetches", walker.ptb_fetches)
+            hierarchy = register(prefix + "cache", CacheHierarchy(
+                self.system.cache, shared_l3=l3))
+            attach(prefix + "cache.l1", hierarchy.l1.stats)
+            attach(prefix + "cache.l2", hierarchy.l2.stats)
+            self.front_ends.append(CoreFrontEnd(tlb, walker, hierarchy))
+        attach("cache.l3", l3.stats)
+        #: Core 0's front end, the one the single-core loop runs.
+        self.tlb, self.walker, self.hierarchy = self.front_ends[0]
+        self.dram = register("dram", DRAMSystem(self.system.dram))
 
         # -- virtualization: nested walks through the host page table ----
         self.nested_walker = None
         if virtualized:
             from repro.vm.nested import NestedPageWalker
 
-            self.nested_walker = self.context.register(
+            self.nested_walker = register(
                 "nested_walker", NestedPageWalker(self.table, self.host_table))
 
         # -- compression model and controller ---------------------------
         self.model = model or PageCompressionModel.for_system(
             workload.content, self.system, seed)
-        self.controller = build_controller(
-            self.context, controller, self.dram, self.space, self.model,
-            dram_budget_bytes, seed)
-        if hasattr(self.controller, "migration"):
-            migration = self.context.register("controller.migration",
-                                              self.controller.migration)
-            self.context.metrics.attach("controller.migration.stalls",
-                                        migration.stalls)
-            self.context.metrics.attach("controller.migration.stall_ns",
-                                        migration.stall_ns)
-        if isinstance(self.controller, TwoLevelController):
-            self.context.metrics.attach("controller.ml2", self._ml2_metrics)
+        self.controller = register("controller", create_controller(
+            controller, self.system, self.dram, seed=seed))
+        ctrl = self.controller
+        ctrl.attach_instrumentation(
+            self.context.probe("controller", stats=ctrl.stats))
+        attach("controller.paths", ctrl.path_fractions)
+        # Per-stage access-pipeline latencies (Figures 8/18): histograms
+        # under controller.stage.*, per-path aggregation under
+        # controller.breakdown.* (both reset at the warm-up boundary).
+        attach("controller.stage", ctrl.stage_stats)
+        attach("controller.breakdown", ctrl.stage_accounting)
+        if hasattr(ctrl, "cte_cache"):
+            register("controller.cte_cache", ctrl.cte_cache)
+        # Place the space's pages (a two-level controller within
+        # ``dram_budget_bytes``).
+        space = self.space
+        if isinstance(ctrl, TwoLevelController):
+            ctrl.initialize(space.data_ppns, space.hotness,
+                            space.table_ppns, self.model, dram_budget_bytes)
+        else:
+            ctrl.initialize(space.data_ppns, space.hotness,
+                            space.table_ppns, self.model)
+        if hasattr(ctrl, "migration"):
+            migration = register("controller.migration", ctrl.migration)
+            attach("controller.migration.stalls", migration.stalls)
+            attach("controller.migration.stall_ns", migration.stall_ns)
+        if isinstance(ctrl, TwoLevelController):
+            attach("controller.ml2", self._ml2_metrics)
 
         # -- resilience: fault injection + graceful degradation ---------
         #: With a fault plan (or ``resilience=True``) the controller's
@@ -211,19 +249,22 @@ class Simulator:
         The tracer also listens on the context bus so migrations and
         injected faults land as instant markers inside sampled traces.
         """
+        _check_cores(self.cores, tracer=True)
         self.tracer = tracer
         tracer.attach_bus(self.context.bus)
         return tracer
 
     def attach_timeseries(self, recorder) -> "object":
         """Adopt a :class:`~repro.sim.timeseries.TimeSeriesRecorder`."""
+        _check_cores(self.cores, timeseries=True)
         self.timeseries = recorder
         return recorder
 
     def describe_run(self) -> Dict[str, object]:
         """The run's configuration, for ``run_config`` in ``--emit-json``
-        documents and the header of ``repro report``."""
-        return {
+        documents and the header of ``repro report``; the core count
+        only where it is more than one."""
+        config = {
             "workload": self.workload.name,
             "controller": self.controller.describe(),
             "seed": self.context.seed,
@@ -235,6 +276,9 @@ class Simulator:
             "tlb_entries": self.system.tlb_entries,
             "mlp_stall_factor": self.system.mlp_stall_factor,
         }
+        if self.cores > 1:
+            config["cores"] = self.cores
+        return config
 
     # ------------------------------------------------------------------
     # Main loop
@@ -254,8 +298,9 @@ class Simulator:
             supervisor=None) -> SimResult:
         """Replay the trace; statistics cover the post-warmup region.
 
-        The replay is :func:`repro.sim.fastpath.run_fast`, with every
-        attached observer as a hook.  With a
+        On one core the replay is :func:`repro.sim.fastpath.run_fast`,
+        with every attached observer as a hook; on more it is
+        :func:`repro.sim.fastpath.run_cores`.  With a
         :class:`~repro.sim.supervisor.RunSupervisor`, the run
         additionally checkpoints on the supervisor's cadence and stops
         early (returning a partial result flagged ``truncated``) when
@@ -263,13 +308,18 @@ class Simulator:
         checkpoint resumes exactly where it stopped: the loop position
         rides on the object as :class:`RunProgress`.
         """
+        _check_cores(self.cores, supervisor=supervisor is not None)
         state = self._run_state
         if state is None:
             state = self._run_state = RunProgress(
                 index=0,
                 warmup_end=int(len(self.workload.trace) * warmup_fraction))
         try:
-            stop_reason = run_fast(self, state, supervisor)
+            if self.cores == 1:
+                stop_reason = run_fast(self, state, supervisor)
+            else:
+                run_cores(self, state)
+                stop_reason = None
         finally:
             # Flush/close owned writers even when the loop dies early, so
             # --trace-events files are never left truncated and unflushed.
@@ -328,12 +378,18 @@ class Simulator:
         cte_misses = 0
         if hasattr(controller, "cte_cache"):
             cte_misses = controller.cte_cache.stats.misses
+        lookups = sum(front_end.tlb.stats.total
+                      for front_end in self.front_ends)
         result = SimResult(
             workload=self.workload.name,
             controller=self.controller_name,
             accesses=accesses,
             elapsed_ns=elapsed_ns,
-            tlb_miss_rate=self.tlb.stats.miss_rate,
+            # One core: 1 - hit rate; more: misses over lookups (the
+            # frozen goldens pin each rounding).
+            tlb_miss_rate=(self.tlb.stats.miss_rate if self.cores == 1
+                           else self._tlb_misses / lookups if lookups
+                           else 0.0),
             tlb_misses=self._tlb_misses,
             cte_hit_rate=cte_hit_rate,
             cte_misses=cte_misses,

@@ -45,7 +45,7 @@ from repro.sim.results import SimResult
 from repro.sim.simulator import RunProgress, Simulator
 
 #: Bump when the pickled layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(sim: Simulator, path: str) -> None:

@@ -17,7 +17,6 @@ import hashlib
 import pytest
 
 from repro.core import available_controllers
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 
 from tests.sim.test_frozen_goldens import GOLDEN_DIR, _budget, _emit_json, _small
@@ -64,7 +63,7 @@ def records_digest(model) -> str:
 def test_multicore_shares_the_drift_free_address_space():
     shared = _small()
     single = Simulator(shared, controller="tmcc", seed=3, placement_drift=0.0)
-    multi = MultiCoreSimulator(shared, num_cores=2, controller="tmcc", seed=3)
+    multi = Simulator(shared, controller="tmcc", seed=3, cores=2)
     assert multi.space is single.space
     assert multi.table is single.table
 

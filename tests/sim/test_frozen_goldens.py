@@ -27,7 +27,6 @@ from repro.core import available_controllers
 from repro.sim.experiments import run_workload
 from repro.sim.faults import FaultPlan
 from repro.sim.instrument import nest_metrics
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.supervisor import RunSupervisor
 from repro.sim.timeseries import TimeSeriesRecorder, write_rows_jsonl
@@ -151,8 +150,8 @@ def _multicore_events(workload, controller, cores: int) -> bytes:
     ``access_path`` and ``stage`` events of its walk's PTB misses."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "events.jsonl"
-        sim = MultiCoreSimulator(workload, num_cores=cores,
-                                 controller=controller, seed=3)
+        sim = Simulator(workload, controller=controller, seed=3,
+                        cores=cores)
         with TraceEventWriter(path).attach(sim.context.bus):
             sim.run()
         return path.read_bytes()

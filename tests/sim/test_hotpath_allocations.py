@@ -21,7 +21,6 @@ from repro.cache.sa_cache import CacheLine
 from repro.core.pipeline import ServiceTimeline
 from repro.dram.system import DRAMSystem, ReadResult
 from repro.sim import fastpath
-from repro.sim.multicore import MultiCoreSimulator
 from repro.sim.simulator import Simulator
 from repro.sim.tracing import SpanTracer
 from repro.workloads.generators import canneal_workload
@@ -76,8 +75,7 @@ def test_fast_loop_constructs_no_per_access_records(monkeypatch):
 
     workload = workload_by_name("omnetpp", max_accesses=2_000, scale=0.05)
     Simulator(workload, controller="tmcc", seed=3).run()
-    MultiCoreSimulator(workload, num_cores=4, controller="tmcc",
-                       seed=3).run()
+    Simulator(workload, controller="tmcc", seed=3, cores=4).run()
     assert calls == {"timeline": 0, "read": 0}
 
     traced = Simulator(workload, controller="tmcc", seed=3)

@@ -144,6 +144,10 @@ def test_trace_run_requires_path(capsys):
 # Argument validation (one-line errors, exit code 2)
 # ----------------------------------------------------------------------
 
+_TWO_CORES = ["run", "omnetpp", "--accesses", "2000", "--scale", "0.05",
+              "--cores", "2"]
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["run", "mcf", "--accesses", "0"], "--accesses must be > 0"),
     (["run", "mcf", "--accesses", "-5"], "--accesses must be > 0"),
@@ -162,12 +166,43 @@ def test_trace_run_requires_path(capsys):
     (["trace", "export", "mcf", "/tmp/t.rtrc", "--accesses", "0"],
      "--accesses must be > 0"),
     (["deflate", "graph", "--pages", "0"], "--pages must be > 0"),
+    # What only the single-core loop runs, refused by the Simulator.
+    (_TWO_CORES + ["--trace-out", "{tmp}/trace.json"],
+     "cannot run with tracer"),
+    (_TWO_CORES + ["--interval-ns", "1000", "--interval-out",
+                   "{tmp}/series.csv"], "cannot run with timeseries"),
+    (_TWO_CORES + ["--profile"], "cannot run with profiler"),
+    (_TWO_CORES + ["--faults", "dram_read_error:0.1"],
+     "cannot run with fault_plan"),
+    (_TWO_CORES + ["--checkpoint", "{tmp}/ck.pkl"],
+     "cannot run with supervisor"),
+    (_TWO_CORES + ["--wall-clock-limit", "60"],
+     "cannot run with supervisor"),
+    (["run", "--resume", "{tmp}/ck.pkl", "--cores", "2"],
+     "cannot be combined with --resume"),
 ])
-def test_validation_one_line_errors(capsys, argv, needle):
+def test_validation_one_line_errors(tmp_path, capsys, argv, needle):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert needle in err
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
+    assert not any(tmp_path.iterdir())  # a refused run writes no file
+
+
+def test_run_multicore_emit_json_names_its_cores(tmp_path, capsys):
+    """A multi-core run reports like a single-core one, and its
+    run_config names the core count and the drift-free placement."""
+    events = tmp_path / "events.jsonl"
+    assert main(_TWO_CORES + ["--emit-json", "--trace-events",
+                              str(events)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["run_config"]["cores"] == 2
+    assert record["run_config"]["placement_drift"] == 0.0
+    assert record["cte_misses"] > 0 and record["l3_data_misses"] > 0
+    assert "embedded_coverage" in record["extra"]
+    assert "core1.walker.ptb_fetches.value" in record["metrics"]
+    assert '"core": 1' in events.read_text()
 
 
 def test_run_validation_failure_still_emits_json(capsys):
@@ -329,16 +364,21 @@ def test_run_trace_out_perfetto_and_report(tmp_path, capsys):
     argv = ["run", "mcf", "--accesses", "6000", "--scale", "0.12",
             "--seed", "3", "--emit-json",
             "--trace-sample", "8", "--trace-out", str(trace),
-            "--interval-ns", "1000000", "--interval-out", str(series)]
+            "--interval-ns", "2000", "--interval-out", str(series),
+            "--profile"]
     assert main(argv) == 0
     captured = capsys.readouterr()
     result.write_text(captured.out)
 
     document = json.loads(trace.read_text())
-    assert isinstance(document["traceEvents"], list) and document["traceEvents"]
-    categories = {e["cat"] for e in document["traceEvents"]}
-    assert "access" in categories
-    assert series.read_text().startswith("window,start_ns,end_ns,")
+    events = document["traceEvents"]
+    assert isinstance(events, list) and events
+    categories = {e["cat"] for e in events}
+    assert {"access", "walk", "miss", "stage"} <= categories, categories
+    assert all("trace_id" in event["args"] for event in events)
+    rows = series.read_text().splitlines()
+    assert rows[0].startswith("window,start_ns,end_ns,")
+    assert len(rows) > 2, "expected more than one window row"
 
     assert main(["report", str(result), "--trace", str(trace),
                  "--timeseries", str(series)]) == 0
@@ -347,6 +387,10 @@ def test_run_trace_out_perfetto_and_report(tmp_path, capsys):
     assert "## Headline metrics" in out
     assert "## Slowest spans" in out
     assert "## Time series" in out
+
+    html = tmp_path / "report.html"
+    assert main(["report", str(result), "--html", "--out", str(html)]) == 0
+    assert html.read_text().startswith("<!DOCTYPE html>")
 
 
 def test_trace_convert_round_trip(tmp_path, capsys):
